@@ -1,11 +1,32 @@
-"""Setuptools shim.
+"""Package metadata and install script for ``repro``.
 
-All project metadata lives in ``pyproject.toml``; this file only exists so
-that fully offline environments (no access to PyPI for build-isolation
-requirements, no ``wheel`` package) can still perform a legacy editable
-install with ``pip install -e .``.
+There is no ``pyproject.toml``: every piece of metadata lives in the
+``setup()`` call below, which ``pip install .`` and
+``python setup.py --name --version`` both read.  Offline, where pip cannot
+fetch its build requirements, ``pip install --no-build-isolation .`` needs
+setuptools and wheel; ``python setup.py install`` needs setuptools only.
+The version is read from ``src/repro/__init__.py`` without importing the
+package.  numpy is an optional extra (``pip install .[numpy]``): it enables
+the kernels' fast path, and the pure-Python kernels give the same answers
+without it.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(r'^__version__ = "([^"]+)"$', _INIT.read_text(encoding="utf-8"), re.M)
+if _VERSION is None:
+    raise RuntimeError(f"no __version__ in {_INIT}")
+
+setup(
+    name="repro",
+    version=_VERSION.group(1),
+    description="JIM: interactive join query inference (reproduction)",
+    package_dir={"": "src"},
+    packages=find_packages(where="src"),
+    python_requires=">=3.10",
+    extras_require={"numpy": ["numpy"]},
+)

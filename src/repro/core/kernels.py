@@ -18,9 +18,11 @@ as a kernel over those arrays:
   against ``(M, N)`` in one vectorized pass, reporting the informative→certain
   flips propagation needs.
 * :func:`prune_counts_batch` — the lookahead kernel: score *all* candidate
-  restricted types against one informative snapshot at once, sharing the
-  resolved-if-positive / resolved-if-negative sub-computations across
-  candidates.
+  restricted types against one informative snapshot in one call.  The numpy
+  path walks the candidates in cache-sized row blocks (``_BLOCK_CELLS``
+  cells) over reused buffers, tests only the antichain of the negative
+  types restricted to ``M``, and takes both weighted sums as float64
+  matrix–vector products, exact while the counts sum below 2⁵³.
 * :func:`certain_codes` — batch classification of arbitrary mask lists (the
   loop-guard scan).
 * :class:`ShardedTypeTable` — the same contract over K contiguous shards,
@@ -31,8 +33,9 @@ as a kernel over those arrays:
 **Fast path and fallback.**  When numpy is importable and every mask/count
 fits in a signed 64-bit lane, the kernels run as numpy array expressions
 (bitmask subset tests are exact in int64 two's complement for masks below
-bit 63); otherwise a pure-Python implementation over :mod:`array` vectors
-with identical semantics is used.  The backend is chosen per table/call by
+bit 63, and the lookahead kernel also needs its counts to sum below 2⁵³);
+otherwise a pure-Python implementation over :mod:`array` vectors with
+identical semantics is used.  The backend is chosen per table/call by
 :func:`default_backend`, overridable with the ``REPRO_KERNEL_BACKEND``
 environment variable or the :func:`use_backend` context manager (which is how
 the benchmarks compare python-vs-numpy traces in one process).
@@ -51,7 +54,7 @@ import hashlib
 import os
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from . import parallel as _parallel
 
@@ -74,6 +77,15 @@ _LABEL_OF = {UNKNOWN: None, CERTAIN_POSITIVE: True, CERTAIN_NEGATIVE: False}
 #: The numpy kernels hold atom-set bitmasks and counts in int64 lanes, so
 #: they only apply below bit 63 (subset tests stay exact in two's complement).
 _INT64_LIMIT = 1 << 62
+
+#: The lookahead kernel takes its weighted sums in float64, exact only while
+#: every partial sum of the (non-negative) counts stays below 2⁵³.
+_EXACT_FLOAT_LIMIT = 1 << 53
+
+#: Cells (candidates × informative types) per row block of the lookahead
+#: kernel.  Its block buffers then take ~0.6 MB and stay cache-resident;
+#: a sweep over 16K–1M cells per block was fastest at 32K.
+_BLOCK_CELLS = 1 << 15
 
 _ENV_VAR = "REPRO_KERNEL_BACKEND"
 _forced_backend: str | None = None
@@ -150,8 +162,8 @@ def _certain_code(mask: int, positive_mask: int, negative_masks: Sequence[int]) 
     return UNKNOWN
 
 
-def _fits_int64(values: Iterable[int]) -> bool:
-    return all(-_INT64_LIMIT <= value < _INT64_LIMIT for value in values)
+def _fits_int64(values: Sequence[int]) -> bool:
+    return not values or (min(values) >= -_INT64_LIMIT and max(values) < _INT64_LIMIT)
 
 
 def certain_codes(
@@ -207,9 +219,13 @@ def prune_counts_batch(
 
     ``info_masks`` / ``info_counts`` are the informative snapshot (full type
     masks and their unlabeled counts); each candidate is given by its
-    *restricted* type ``E(t) ∩ M``, which fully determines its counts.  One
-    K×I kernel evaluation replaces K independent per-candidate sweeps, and the
-    subset tests against the negative list are shared across candidates.
+    *restricted* type ``E(t) ∩ M`` (so every candidate is a subset of ``M``),
+    which fully determines its counts.  The numpy path scores the K
+    candidates against the I informative types in row blocks of about
+    ``_BLOCK_CELLS`` cells, testing each block against only the negatives
+    that stay maximal once restricted to ``M``; it never holds a K×I array.
+    It runs while the counts sum below 2⁵³, where its float64 weighted sums
+    are exact; larger totals take the exact pure-Python path.
     """
     chosen = backend or default_backend()
     if (
@@ -219,7 +235,8 @@ def prune_counts_batch(
         and restricted_candidates
         and _fits_int64(info_masks)
         and _fits_int64(restricted_candidates)
-        and _fits_int64((positive_mask, sum(info_counts), *negative_masks))
+        and _fits_int64((positive_mask, *negative_masks))
+        and sum(info_counts) < _EXACT_FLOAT_LIMIT
     ):
         return _np_prune_counts(
             info_masks, info_counts, restricted_candidates, positive_mask, negative_masks
@@ -245,6 +262,25 @@ def prune_counts_batch(
     return results
 
 
+def _antichain_complements(positive_mask: int, negative_masks: Sequence[int]) -> list[int]:
+    """The complements of the maximal members of ``{n ∩ M}``.
+
+    A candidate is a subset of ``M``, so ``E(t) ∩ M ∩ m ⊆ n`` iff it is a
+    subset of ``n ∩ M``; and a restricted negative contained in another one
+    can only pass where the larger one passes too.  Only the maximal
+    members need testing, each as ``x & ~(n ∩ M) == 0``.
+    """
+    restricted = {neg & positive_mask for neg in negative_masks}
+    complements = []
+    for member in restricted:
+        for other in restricted:
+            if member != other and member & ~other == 0:
+                break
+        else:
+            complements.append(~member)
+    return complements
+
+
 def _np_prune_counts(
     info_masks: Sequence[int],
     info_counts: Sequence[int],
@@ -252,18 +288,40 @@ def _np_prune_counts(
     positive_mask: int,
     negative_masks: Sequence[int],
 ) -> list[tuple[int, int]]:
-    masks = _np.asarray(info_masks, dtype=_np.int64)[None, :]
-    counts = _np.asarray(info_counts, dtype=_np.int64)[None, :]
+    masks = _np.asarray(info_masks, dtype=_np.int64)
+    weights = _np.asarray(info_counts, dtype=_np.float64)
     cand = _np.asarray(restricted_candidates, dtype=_np.int64)[:, None]
-    positive = (cand & ~masks) == 0
-    restricted = cand & masks
-    negative = _np.zeros(restricted.shape, dtype=bool)
-    for neg in negative_masks:
-        negative |= (restricted & ~_np.int64(neg)) == 0
-    resolved_plus = ((positive | negative) * counts).sum(axis=1)
-    under_m = _np.int64(positive_mask) & masks
-    resolved_minus = (((under_m & ~cand) == 0) * counts).sum(axis=1)
-    return list(zip(resolved_plus.tolist(), resolved_minus.tolist(), strict=True))
+    under_m = masks & positive_mask
+    complements = _antichain_complements(positive_mask, negative_masks)
+    total = len(cand)
+    rows = max(1, min(total, _BLOCK_CELLS // len(masks)))
+    sums = _np.empty((2, total), dtype=_np.int64)
+    # The block buffers are allocated by the first block's own operations,
+    # sized to it, and reused by every later block through ``out=``; a K×I
+    # temporary would stream every cell through memory once per negative.
+    restricted = scratch = hit = test = None
+    for start in range(0, total, rows):
+        # The last block ends at the last candidate and may overlap the one
+        # before it: the overlapped rows are scored twice, identically.
+        start = min(start, total - rows)
+        stop = start + rows
+        block = cand[start:stop]
+        # Positive answer: type m is resolved iff E(t) ∩ M ⊆ m, or
+        # E(t) ∩ M ∩ m lies inside some negative type.
+        restricted = _np.bitwise_and(block, masks, out=restricted)
+        hit = _np.equal(restricted, block, out=hit)
+        for complement in complements:
+            scratch = _np.bitwise_and(restricted, complement, out=scratch)
+            test = _np.equal(scratch, 0, out=test)
+            hit |= test
+        # Float64 matrix-vector products: every partial sum is an integer
+        # below 2⁵³, so storing them into int64 is exact.
+        sums[0, start:stop] = hit @ weights
+        # Negative answer: type m is resolved iff M ∩ m ⊆ E(t) ∩ M.
+        scratch = _np.bitwise_or(under_m, block, out=scratch)
+        test = _np.equal(scratch, block, out=test)
+        sums[1, start:stop] = test @ weights
+    return list(zip(*sums.tolist()))
 
 
 # --------------------------------------------------------------------- #

@@ -8,6 +8,9 @@ the whole hot loop, so they get their own equivalence suite:
   re-implementation of the seed's formulas on *every* backend, including
   masks past the int64 lane (where a numpy request must silently take the
   exact pure-Python path);
+* the numpy lookahead kernel must give the same answer whatever its row
+  block size, take the exact pure-Python path once the counts sum to 2⁵³,
+  and score a 1500 × 1500 call in a few MB;
 * the two :class:`TypeTable` implementations must stay observationally
   identical through arbitrary refresh/decrement/copy sequences, and their
   copy-on-write clones must be isolated from their parents;
@@ -23,11 +26,15 @@ reference — the suite is part of the no-numpy CI job for exactly that reason.
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import CandidateTable, InferenceState, Label
+from repro.core import kernels
 from repro.core.atoms import is_subset
 from repro.core.informativeness import classify_all
 from repro.core.kernels import (
@@ -161,6 +168,86 @@ class TestBatchKernels:
             for candidate in candidate_types
         ]
         assert got == expected
+
+    @pytest.mark.parametrize("block_cells", [1, 5, 64])
+    @SETTINGS
+    @given(
+        inputs=kernel_inputs(),
+        candidate_types=st.lists(NARROW_MASKS, min_size=1, max_size=24),
+        data=st.data(),
+    )
+    def test_prune_counts_across_row_blocks(self, block_cells, inputs, candidate_types, data):
+        # Tiny blocks make one call span several blocks with a ragged last
+        # one; the negatives carry duplicates, members dominated by another
+        # negative and members that differ only outside M, which the numpy
+        # path drops by testing only the antichain of {n ∩ M}.
+        masks, counts, positive_mask, negative_masks = inputs
+        negatives = list(negative_masks)
+        for neg in negative_masks:
+            negatives.append(neg)
+            negatives.append(neg & data.draw(NARROW_MASKS))
+            negatives.append(neg ^ (data.draw(NARROW_MASKS) & ~positive_mask))
+        negatives = data.draw(st.permutations(negatives))
+        snapshot = list(zip(masks, counts, strict=True))
+        restricted = [candidate & positive_mask for candidate in candidate_types]
+        expected = [
+            _reference_prune_counts(snapshot, candidate, positive_mask, negatives)
+            for candidate in candidate_types
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_BLOCK_CELLS", block_cells)
+            for backend in available_backends():
+                got = prune_counts_batch(
+                    masks, counts, restricted, positive_mask, negatives, backend=backend
+                )
+                assert got == expected, backend
+
+
+class TestPruneCountsLimits:
+    """The lookahead kernel's float sums and memory stay within their bounds."""
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [(1 << 52) + 1, (1 << 52) - 2, 1],  # sums to 2⁵³ - 1: the float path, exact
+            [(1 << 52) + 1, (1 << 52) - 1],  # sums to exactly 2⁵³
+            [(1 << 53) + 1, 2, 3],  # 2⁵³ + 1 is not a float64
+            [(1 << 61) + 1, (1 << 61) - 1, 7],  # near the int64 lane's limit
+        ],
+    )
+    def test_counts_past_the_exact_float_range(self, counts):
+        masks = [0b0111, 0b1011, 0b1101][: len(counts)]
+        positive_mask, negative_masks = 0b1111, [0b0011, 0b0101]
+        candidate_types = [0b0001, 0b0011, 0b0111, 0b1111, 0b1010]
+        snapshot = list(zip(masks, counts, strict=True))
+        restricted = [candidate & positive_mask for candidate in candidate_types]
+        expected = [
+            _reference_prune_counts(snapshot, candidate, positive_mask, negative_masks)
+            for candidate in candidate_types
+        ]
+        got = prune_counts_batch(
+            masks, counts, restricted, positive_mask, negative_masks, backend="numpy"
+        )
+        assert got == expected
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="bounds the numpy path's memory")
+    def test_large_call_memory_stays_bounded(self):
+        # A 1500 × 1500 call: one int64 K×I temporary alone would take 18 MB.
+        rng = random.Random(3)
+        positive_mask = (1 << 36) - 1
+        masks = rng.sample(range(1 << 36), 1500)
+        counts = [rng.randint(1, 9) for _ in masks]
+        restricted = [mask & positive_mask for mask in rng.sample(range(1 << 36), 1500)]
+        negative_masks = [rng.getrandbits(36) for _ in range(6)]
+        tracemalloc.start()
+        try:
+            prune_counts_batch(
+                masks, counts, restricted, positive_mask, negative_masks, backend="numpy"
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024, f"peak {peak / 2**20:.1f} MB"
 
 
 # --------------------------------------------------------------------------- #
@@ -301,8 +388,6 @@ def sampled_tables(draw) -> CandidateTable:
         domain_size=3,
         seed=draw(st.integers(min_value=0, max_value=5)),
     )
-    import random
-
     max_rows = draw(st.integers(min_value=2, max_value=tuples * tuples - 1))
     return CandidateTable.cross_product(
         generate_instance(config),
