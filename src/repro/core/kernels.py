@@ -18,11 +18,17 @@ as a kernel over those arrays:
   against ``(M, N)`` in one vectorized pass, reporting the informative→certain
   flips propagation needs.
 * :func:`prune_counts_batch` — the lookahead kernel: score *all* candidate
-  restricted types against one informative snapshot in one call.  The numpy
-  path walks the candidates in cache-sized row blocks (``_BLOCK_CELLS``
-  cells) over reused buffers, tests only the antichain of the negative
-  types restricted to ``M``, and takes both weighted sums as float64
-  matrix–vector products, exact while the counts sum below 2⁵³.
+  restricted types against one informative snapshot in one call, testing
+  only the antichain of the negative types restricted to ``M``.  The numpy
+  path has two forms, chosen by the call's size.  Calls of at least
+  ``_BITSLICE_CELLS`` candidates × informative types are *bit-sliced*: the
+  informative side is transposed into one bitset over the I types per atom
+  of ``M``, every test is a few row gathers from 8-atom subset tables of
+  those bitsets ANDed together, and every weighted sum is exact as popcounts
+  over the bit planes of the counts.  Smaller calls walk the candidates in
+  cache-sized row blocks (``_BLOCK_CELLS`` cells) over reused buffers and
+  take both sums as float64 matrix–vector products, exact while the counts
+  sum below 2⁵³.
 * :func:`certain_codes` — batch classification of arbitrary mask lists (the
   loop-guard scan).
 * :class:`ShardedTypeTable` — the same contract over K contiguous shards,
@@ -82,10 +88,24 @@ _INT64_LIMIT = 1 << 62
 #: every partial sum of the (non-negative) counts stays below 2⁵³.
 _EXACT_FLOAT_LIMIT = 1 << 53
 
-#: Cells (candidates × informative types) per row block of the lookahead
-#: kernel.  Its block buffers then take ~0.6 MB and stay cache-resident;
-#: a sweep over 16K–1M cells per block was fastest at 32K.
+#: Cells (candidates × informative types) per row block of the row-blocked
+#: lookahead kernel.  Its block buffers then take ~0.6 MB and stay
+#: cache-resident; a sweep over 16K–1M cells per block was fastest at 32K.
 _BLOCK_CELLS = 1 << 15
+
+#: Lookahead calls of at least this many cells take the bit-sliced kernel.
+#: Below it, building the per-call subset tables costs more than the whole
+#: row-blocked call (the two cross over between 16K and 32K cells).
+_BITSLICE_CELLS = 1 << 14
+
+#: The bit-sliced kernel sums with ``numpy.bitwise_count`` (numpy ≥ 2.0);
+#: older numpy keeps the row-blocked kernel for every call.
+_HAVE_BITWISE_COUNT = HAVE_NUMPY and hasattr(_np, "bitwise_count")
+
+#: uint64 words (candidates × ⌈I/64⌉) per row block of the bit-sliced
+#: kernel: its three block buffers take 384 KB whatever the call's size.
+#: Blocks of 2¹⁴–2¹⁶ words scored a guided-wide pass equally fast.
+_BITSLICE_BLOCK_WORDS = 1 << 14
 
 _ENV_VAR = "REPRO_KERNEL_BACKEND"
 _forced_backend: str | None = None
@@ -219,30 +239,38 @@ def prune_counts_batch(
 
     ``info_masks`` / ``info_counts`` are the informative snapshot (full type
     masks and their unlabeled counts); each candidate is given by its
-    *restricted* type ``E(t) ∩ M`` (so every candidate is a subset of ``M``),
-    which fully determines its counts.  The numpy path scores the K
-    candidates against the I informative types in row blocks of about
-    ``_BLOCK_CELLS`` cells, testing each block against only the negatives
-    that stay maximal once restricted to ``M``; it never holds a K×I array.
-    It runs while the counts sum below 2⁵³, where its float64 weighted sums
-    are exact; larger totals take the exact pure-Python path.
+    *restricted* type ``E(t) ∩ M``, which fully determines its counts.  Every
+    candidate is restricted with ``M`` on entry, so bits outside ``M`` never
+    change a score, whichever path takes the call.
+
+    The numpy path never holds a K×I array and tests only the negatives that
+    stay maximal once restricted to ``M``.  Calls of at least
+    ``_BITSLICE_CELLS`` candidates × informative types, on a numpy with
+    ``bitwise_count``, take the bit-sliced kernel: per-atom bitsets over the
+    I types, 8-atom subset tables and popcount sums.  Smaller calls score the
+    candidates in row blocks of about ``_BLOCK_CELLS`` cells.  Both run while
+    the counts sum below 2⁵³, where the row-blocked float64 sums are exact;
+    larger totals take the exact pure-Python path.
     """
+    candidates = [candidate & positive_mask for candidate in restricted_candidates]
     chosen = backend or default_backend()
     if (
         chosen == "numpy"
         and HAVE_NUMPY
         and info_masks
-        and restricted_candidates
+        and candidates
         and _fits_int64(info_masks)
-        and _fits_int64(restricted_candidates)
+        and _fits_int64(candidates)
         and _fits_int64((positive_mask, *negative_masks))
         and sum(info_counts) < _EXACT_FLOAT_LIMIT
     ):
-        return _np_prune_counts(
-            info_masks, info_counts, restricted_candidates, positive_mask, negative_masks
+        bit_sliced = (
+            _HAVE_BITWISE_COUNT and len(candidates) * len(info_masks) >= _BITSLICE_CELLS
         )
+        kernel = _np_bitsliced_prune_counts if bit_sliced else _np_prune_counts
+        return kernel(info_masks, info_counts, candidates, positive_mask, negative_masks)
     results: list[tuple[int, int]] = []
-    for restricted_candidate in restricted_candidates:
+    for restricted_candidate in candidates:
         resolved_if_positive = 0
         resolved_if_negative = 0
         for mask, count in zip(info_masks, info_counts, strict=True):
@@ -321,6 +349,125 @@ def _np_prune_counts(
         scratch = _np.bitwise_or(under_m, block, out=scratch)
         test = _np.equal(scratch, block, out=test)
         sums[1, start:stop] = test @ weights
+    return list(zip(*sums.tolist()))
+
+
+def _bit_columns(values: Sequence[int]):
+    """The 64 bits of each int64 value, one ``uint8`` column per bit."""
+    octets = _np.asarray(values, dtype="<i8").reshape(-1, 1).view(_np.uint8)
+    return _np.unpackbits(octets, axis=1, bitorder="little")
+
+
+def _bitsets(rows, words: int):
+    """Each 0/1 ``uint8`` row packed into ``words`` uint64 words, zero-padded.
+
+    Every bitset maps column j to the same bit of word ``j // 64``, which is
+    all the ANDs and popcounts of the bit-sliced kernel rely on.
+    """
+    packed = _np.packbits(rows, axis=1, bitorder="little")
+    padded = _np.zeros((len(rows), 8 * words), dtype=_np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    return padded.view(_np.uint64)
+
+
+def _chunk_codes(values: Sequence[int], atoms, chunks: int):
+    """Each value compacted to the atom order of ``M``: one byte per 8 atoms."""
+    bits = _np.zeros((len(values), 8 * chunks), dtype=_np.uint8)
+    bits[:, : len(atoms)] = _bit_columns(values)[:, atoms]
+    return _np.packbits(bits, axis=1, bitorder="little")
+
+
+def _bit_planes(counts: Sequence[int], words: int):
+    """The counts as bit planes: a bitset over the types per bit some count sets."""
+    bits = _bit_columns(counts)
+    shifts = _np.flatnonzero(bits.any(axis=0))
+    return _bitsets(bits[:, shifts].T, words), shifts
+
+
+def _subset_tables(bitsets, chunks: int):
+    """Per 8-atom chunk, the ANDs of its atoms' bitsets and of their complements.
+
+    Row ``s`` of ``holds[k]`` is the AND of ``bitsets[8k + i]`` over the bits
+    ``i`` of ``s``, and row ``s`` of ``lacks[k]`` the AND of their
+    complements (both all ones for the empty subset).  Every table is built
+    at once, in eight doublings: the rows with bit ``i`` set are the rows
+    below ``2^i`` ANDed with atom ``i``'s bitset.  Atoms past the last one of
+    ``M`` pad the last chunk with all-ones rows in both tables, so a code may
+    set their bits (``~c`` stands for ``M ∖ c``).
+    """
+    words = bitsets.shape[1]
+    atoms = _np.full((2, 8 * chunks, words), ~_np.uint64(0))
+    atoms[0, : len(bitsets)] = bitsets
+    _np.invert(bitsets, out=atoms[1, : len(bitsets)])
+    atoms = atoms.reshape(2 * chunks, 8, 1, words)
+    tables = _np.empty((2 * chunks, 256, words), dtype=_np.uint64)
+    tables[:, 0] = ~_np.uint64(0)
+    for i in range(8):
+        _np.bitwise_and(tables[:, : 1 << i], atoms[:, i], out=tables[:, 1 << i : 2 << i])
+    return tables.reshape(2, chunks, 256, words)
+
+
+def _and_rows(tables, codes, out, scratch):
+    """``out[c]`` = the AND over chunks ``k`` of ``tables[k, codes[k, c]]``."""
+    tables[0].take(codes[0], axis=0, out=out)
+    for table, column in zip(tables[1:], codes[1:], strict=True):
+        out &= table.take(column, axis=0, out=scratch)
+    return out
+
+
+def _weighted_sums(hits, planes, shifts, scratch):
+    """Per row of ``hits``, the exact sum of the counts of its set bits.
+
+    ``planes[p]`` holds bit ``shifts[p]`` of every count, so a row's sum is
+    ``Σ_p popcount(row & planes[p]) << shifts[p]``.
+    """
+    sums = _np.zeros(len(hits), dtype=_np.int64)
+    for plane, shift in zip(planes, shifts, strict=True):
+        _np.bitwise_and(hits, plane, out=scratch)
+        sums += _np.bitwise_count(scratch).sum(axis=1, dtype=_np.int64) << shift
+    return sums
+
+
+def _np_bitsliced_prune_counts(
+    info_masks: Sequence[int],
+    info_counts: Sequence[int],
+    candidates: Sequence[int],
+    positive_mask: int,
+    negative_masks: Sequence[int],
+) -> list[tuple[int, int]]:
+    # Transpose the informative side once: per atom a of M, bit j of B[a]
+    # is set iff type j holds a.  Each test below is an AND of B[a] or ~B[a]
+    # over an atom set, read from 8-atom subset tables one chunk at a time.
+    atoms = _np.flatnonzero(_bit_columns([positive_mask])[0])
+    chunks = max(1, -(-len(atoms) // 8))
+    words = -(-len(info_masks) // 64)
+    bitsets = _bitsets(_bit_columns(info_masks)[:, atoms].T, words)
+    holds, lacks = _subset_tables(bitsets, chunks)
+    planes, shifts = _bit_planes(info_counts, words)
+    codes = _chunk_codes(candidates, atoms, chunks).T.copy()
+    members = _chunk_codes(
+        [~complement for complement in _antichain_complements(positive_mask, negative_masks)],
+        atoms,
+        chunks,
+    )
+    total = len(candidates)
+    rows = max(1, min(total, _BITSLICE_BLOCK_WORDS // words))
+    buffers = [_np.empty((rows, words), dtype=_np.uint64) for _ in range(3)]
+    sums = _np.empty((2, total), dtype=_np.int64)
+    for start in range(0, total, rows):
+        block = codes[:, start : start + rows]
+        stop = start + block.shape[1]
+        hit, test, scratch = (buffer[: block.shape[1]] for buffer in buffers)
+        # Positive answer: type r is resolved iff c ⊆ r, or c ∩ r ⊆ n for
+        # some negative n, that is r holds no atom of c ∖ n.
+        _and_rows(holds, block, hit, scratch)
+        for member in members:
+            hit |= _and_rows(lacks, block & ~member[:, None], test, scratch)
+        sums[0, start:stop] = _weighted_sums(hit, planes, shifts, scratch)
+        # Negative answer: type r is resolved iff r ∩ M ⊆ c, that is r holds
+        # no atom of M ∖ c.
+        _and_rows(lacks, ~block, test, scratch)
+        sums[1, start:stop] = _weighted_sums(test, planes, shifts, scratch)
     return list(zip(*sums.tolist()))
 
 

@@ -9,8 +9,11 @@ the whole hot loop, so they get their own equivalence suite:
   masks past the int64 lane (where a numpy request must silently take the
   exact pure-Python path);
 * the numpy lookahead kernel must give the same answer whatever its row
-  block size, take the exact pure-Python path once the counts sum to 2⁵³,
-  and score a 1500 × 1500 call in a few MB;
+  block size and on either side of the bit-sliced cutoff, with or without
+  ``numpy.bitwise_count``, take the exact pure-Python path once the counts
+  sum to 2⁵³, and score a 1500 × 1500 call in a few MB;
+* candidates carrying bits outside ``M`` must score as their restriction to
+  ``M`` on every path;
 * the two :class:`TypeTable` implementations must stay observationally
   identical through arbitrary refresh/decrement/copy sequences, and their
   copy-on-write clones must be isolated from their parents;
@@ -95,6 +98,21 @@ def _reference_prune_counts(
     return resolved_if_positive, resolved_if_negative
 
 
+def _large_call():
+    """A 1500 × 1500 lookahead call over 36 atoms (the bit-sliced path)."""
+    rng = random.Random(3)
+    positive_mask = (1 << 36) - 1
+    masks = rng.sample(range(1 << 36), 1500)
+    counts = [rng.randint(1, 9) for _ in masks]
+    restricted = [mask & positive_mask for mask in rng.sample(range(1 << 36), 1500)]
+    negative_masks = [rng.getrandbits(36) for _ in range(6)]
+    return masks, counts, restricted, positive_mask, negative_masks
+
+
+def _never_called(*_args):
+    raise AssertionError("this kernel path must not run")
+
+
 @st.composite
 def kernel_inputs(draw, mask_strategy=NARROW_MASKS):
     """Random (masks, counts, M, N) quadruples for the batch kernels."""
@@ -169,6 +187,32 @@ class TestBatchKernels:
         ]
         assert got == expected
 
+    @SETTINGS
+    @given(
+        inputs=kernel_inputs(),
+        candidate_types=st.lists(NARROW_MASKS, min_size=1, max_size=8),
+    )
+    def test_unrestricted_candidates_score_as_restricted(self, inputs, candidate_types):
+        # Bits outside M must not change a score on any of the three paths:
+        # pure Python, row-blocked numpy and bit-sliced numpy.
+        masks, counts, positive_mask, negative_masks = inputs
+        snapshot = list(zip(masks, counts, strict=True))
+        expected = [
+            _reference_prune_counts(snapshot, candidate, positive_mask, negative_masks)
+            for candidate in candidate_types
+        ]
+        paths = [("python", None)]
+        if HAVE_NUMPY:
+            paths += [("numpy", 1 << 62), ("numpy", 0)]
+        for backend, cutoff in paths:
+            with pytest.MonkeyPatch.context() as patch:
+                if cutoff is not None:
+                    patch.setattr(kernels, "_BITSLICE_CELLS", cutoff)
+                got = prune_counts_batch(
+                    masks, counts, candidate_types, positive_mask, negative_masks, backend=backend
+                )
+            assert got == expected, (backend, cutoff)
+
     @pytest.mark.parametrize("block_cells", [1, 5, 64])
     @SETTINGS
     @given(
@@ -233,21 +277,128 @@ class TestPruneCountsLimits:
     @pytest.mark.skipif(not HAVE_NUMPY, reason="bounds the numpy path's memory")
     def test_large_call_memory_stays_bounded(self):
         # A 1500 × 1500 call: one int64 K×I temporary alone would take 18 MB.
-        rng = random.Random(3)
-        positive_mask = (1 << 36) - 1
-        masks = rng.sample(range(1 << 36), 1500)
-        counts = [rng.randint(1, 9) for _ in masks]
-        restricted = [mask & positive_mask for mask in rng.sample(range(1 << 36), 1500)]
-        negative_masks = [rng.getrandbits(36) for _ in range(6)]
+        args = _large_call()
         tracemalloc.start()
         try:
-            prune_counts_batch(
-                masks, counts, restricted, positive_mask, negative_masks, backend="numpy"
-            )
+            prune_counts_batch(*args, backend="numpy")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4 * 1024 * 1024, f"peak {peak / 2**20:.1f} MB"
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="compares two numpy paths")
+    def test_numpy_without_bitwise_count(self):
+        # numpy before 2.0 has no bitwise_count: every call, however large,
+        # keeps the row-blocked path and must give the same answer.
+        args = _large_call()
+        expected = prune_counts_batch(*args, backend="numpy")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_HAVE_BITWISE_COUNT", False)
+            patch.setattr(kernels, "_np_bitsliced_prune_counts", _never_called)
+            assert prune_counts_batch(*args, backend="numpy") == expected
+
+
+#: Masks up to bit 61, the widest the numpy kernels take.
+LANE_MASKS = st.integers(min_value=0, max_value=(1 << 62) - 1)
+
+
+@st.composite
+def bitslice_inputs(draw):
+    """Lookahead calls shaped for the bit-sliced kernel's edge cases.
+
+    ``M`` has no atom, 1–8 atoms (one chunk) or 9–62 atoms spread over bits
+    0–61, always including bit 61; I runs to 150 types, so the type bitsets
+    span one to three words, the last one mostly partial; counts reach 2⁴⁰
+    (many bit planes) and may be zero; the negatives carry duplicates,
+    members dominated under ``M`` and members that differ only outside it.
+    """
+    atoms = draw(
+        st.one_of(
+            st.just([]),
+            st.lists(st.integers(min_value=0, max_value=61), min_size=1, max_size=8, unique=True),
+            st.lists(
+                st.integers(min_value=0, max_value=60), min_size=8, max_size=61, unique=True
+            ).map(lambda atoms: [*atoms, 61]),
+        )
+    )
+    positive_mask = sum(1 << atom for atom in atoms)
+    num_types = draw(st.integers(min_value=1, max_value=150))
+    masks = draw(st.lists(LANE_MASKS, min_size=num_types, max_size=num_types, unique=True))
+    counts = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=1 << 40), min_size=len(masks), max_size=len(masks)
+        )
+    )
+    # Candidates drawn around the types, so that c ⊆ r and r ∩ M ⊆ c both
+    # hold for some pairs; candidates keep their bits outside M.
+    candidates = [
+        draw(st.sampled_from(masks)) & draw(LANE_MASKS) | draw(st.sampled_from((0, positive_mask)))
+        for _ in range(draw(st.integers(min_value=1, max_value=12)))
+    ]
+    negatives = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        neg = draw(st.sampled_from(masks)) | draw(LANE_MASKS) & draw(LANE_MASKS)
+        negatives += [neg, neg, neg & draw(LANE_MASKS), neg ^ (draw(LANE_MASKS) & ~positive_mask)]
+    negatives = draw(st.permutations(negatives))
+    return masks, counts, candidates, positive_mask, negatives
+
+
+@pytest.mark.skipif(
+    not kernels._HAVE_BITWISE_COUNT, reason="the bit-sliced path needs numpy.bitwise_count"
+)
+class TestBitSlicedKernel:
+    """The bit-sliced lookahead kernel ≡ the reference, on every call shape."""
+
+    @pytest.mark.parametrize("block_words", [1, 3, None])
+    @SETTINGS
+    @given(inputs=bitslice_inputs())
+    def test_forced_path_matches_reference(self, block_words, inputs):
+        masks, counts, candidates, positive_mask, negatives = inputs
+        snapshot = list(zip(masks, counts, strict=True))
+        expected = [
+            _reference_prune_counts(snapshot, candidate, positive_mask, negatives)
+            for candidate in candidates
+        ]
+        args = (masks, counts, candidates, positive_mask, negatives)
+        assert prune_counts_batch(*args, backend="python") == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_BITSLICE_CELLS", 0)
+            patch.setattr(kernels, "_np_prune_counts", _never_called)
+            if block_words is not None:
+                # Row blocks of one and three words: several blocks per call,
+                # the last one short.
+                patch.setattr(kernels, "_BITSLICE_BLOCK_WORDS", block_words)
+            assert prune_counts_batch(*args, backend="numpy") == expected
+
+    @pytest.mark.parametrize(
+        ("num_candidates", "num_types", "path"),
+        [(129, 127, "_np_prune_counts"), (128, 128, "_np_bitsliced_prune_counts")],
+    )
+    def test_cutoff_boundary(self, num_candidates, num_types, path):
+        # 129 × 127 = 2¹⁴ − 1 cells stay row-blocked; 128 × 128 = 2¹⁴ cells
+        # take the bit-sliced path; both match the reference.
+        assert kernels._BITSLICE_CELLS == 1 << 14
+        assert num_candidates * num_types in (kernels._BITSLICE_CELLS - 1, kernels._BITSLICE_CELLS)
+        rng = random.Random(num_types)
+        positive_mask = rng.getrandbits(20)
+        masks = rng.sample(range(1 << 20), num_types)
+        counts = [rng.randint(0, 5) for _ in masks]
+        candidates = [rng.choice(masks) & rng.getrandbits(20) for _ in range(num_candidates)]
+        negatives = [rng.getrandbits(20) for _ in range(4)]
+        snapshot = list(zip(masks, counts, strict=True))
+        expected = [
+            _reference_prune_counts(snapshot, candidate, positive_mask, negatives)
+            for candidate in candidates
+        ]
+        taken = []
+        with pytest.MonkeyPatch.context() as patch:
+            kernel = getattr(kernels, path)
+            patch.setattr(kernels, path, lambda *args: taken.append(path) or kernel(*args))
+            got = prune_counts_batch(
+                masks, counts, candidates, positive_mask, negatives, backend="numpy"
+            )
+        assert taken == [path]
+        assert got == expected
 
 
 # --------------------------------------------------------------------------- #
