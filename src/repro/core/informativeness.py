@@ -187,6 +187,17 @@ class TypeStatusCache:
         """``(type_mask, unlabeled_count)`` for every informative type."""
         return iter(self._table.informative_items())
 
+    def informative_arrays(self) -> tuple[Sequence[int], Sequence[int]]:
+        """The informative snapshot as aligned mask and count sequences.
+
+        Taken once per label by the type table (int64 arrays on the numpy
+        backend, lists otherwise) and shared by the grouping and the
+        lookahead kernel of that step; see
+        :meth:`TypeTable.informative_arrays
+        <repro.core.kernels._BaseTypeTable.informative_arrays>`.
+        """
+        return self._table.informative_arrays()
+
     def informative_count(self) -> int:
         """Number of informative tuples (unlabeled tuples of informative types)."""
         return self._table.informative_count()
@@ -200,7 +211,8 @@ class TypeStatusCache:
         restricted_masks: Sequence[int],
         positive_mask: int,
         negative_masks: Sequence[int],
-    ) -> list[tuple[int, int]]:
+        columns: bool = False,
+    ):
         """Prune counts per restricted candidate type, via the table kernel.
 
         Delegates to :meth:`TypeTable.prune_counts_informative
@@ -210,7 +222,7 @@ class TypeStatusCache:
         :class:`~repro.core.state.InferenceState`) never know the difference.
         """
         return self._table.prune_counts_informative(
-            restricted_masks, positive_mask, negative_masks
+            restricted_masks, positive_mask, negative_masks, columns=columns
         )
 
     @classmethod
@@ -271,7 +283,7 @@ class TypeStatusCache:
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        informative = len(self._table.informative_items())
+        informative = len(self._table.informative_arrays()[0])
         return f"TypeStatusCache(types={len(self._table)}, informative_types={informative})"
 
 

@@ -29,6 +29,10 @@ as a kernel over those arrays:
   cache-sized row blocks (``_BLOCK_CELLS`` cells) over reused buffers and
   take both sums as float64 matrix–vector products, exact while the counts
   sum below 2⁵³.
+* :class:`TypeGroups` and :func:`score_levels` — the informative snapshot
+  grouped by restricted type, and the kernel's counts ranked by a scalar
+  score called once per distinct pair, so a step's grouping, scoring and
+  maximum run on arrays.
 * :func:`certain_codes` — batch classification of arbitrary mask lists (the
   loop-guard scan).
 * :class:`ShardedTypeTable` — the same contract over K contiguous shards,
@@ -39,7 +43,8 @@ as a kernel over those arrays:
 **Fast path and fallback.**  When numpy is importable and every mask/count
 fits in a signed 64-bit lane, the kernels run as numpy array expressions
 (bitmask subset tests are exact in int64 two's complement for masks below
-bit 63, and the lookahead kernel also needs its counts to sum below 2⁵³);
+bit 63, and the row-blocked lookahead kernel also needs its counts to sum
+below 2⁵³);
 otherwise a pure-Python implementation over :mod:`array` vectors with
 identical semantics is used.  The backend is chosen per table/call by
 :func:`default_backend`, overridable with the ``REPRO_KERNEL_BACKEND``
@@ -60,7 +65,7 @@ import hashlib
 import os
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from . import parallel as _parallel
 
@@ -183,7 +188,19 @@ def _certain_code(mask: int, positive_mask: int, negative_masks: Sequence[int]) 
 
 
 def _fits_int64(values: Sequence[int]) -> bool:
+    if HAVE_NUMPY and isinstance(values, _np.ndarray):
+        return values.dtype == _np.int64 and (
+            not values.size
+            or (int(values.min()) >= -_INT64_LIMIT and int(values.max()) < _INT64_LIMIT)
+        )
     return not values or (min(values) >= -_INT64_LIMIT and max(values) < _INT64_LIMIT)
+
+
+def _as_list(values: Sequence[int]) -> Sequence[int]:
+    """The values as Python ints: numpy arrays are converted, lists pass as they are."""
+    if HAVE_NUMPY and isinstance(values, _np.ndarray):
+        return values.tolist()
+    return values
 
 
 def certain_codes(
@@ -234,43 +251,56 @@ def prune_counts_batch(
     positive_mask: int,
     negative_masks: Sequence[int],
     backend: str | None = None,
-) -> list[tuple[int, int]]:
+    columns: bool = False,
+):
     """``(resolved_if_positive, resolved_if_negative)`` per candidate type.
 
     ``info_masks`` / ``info_counts`` are the informative snapshot (full type
     masks and their unlabeled counts); each candidate is given by its
     *restricted* type ``E(t) ∩ M``, which fully determines its counts.  Every
     candidate is restricted with ``M`` on entry, so bits outside ``M`` never
-    change a score, whichever path takes the call.
+    change a score, whichever path takes the call.  Each of the three
+    sequences may be a list or an int64 numpy array (the array snapshot of a
+    :class:`NumpyTypeTable` and its :class:`TypeGroups`), which the numpy
+    path takes without a conversion.  The result is a list of pairs; with
+    ``columns`` it is the two count columns instead, int64 arrays from the
+    numpy path and lists otherwise (what :func:`score_levels` takes).
 
     The numpy path never holds a K×I array and tests only the negatives that
     stay maximal once restricted to ``M``.  Calls of at least
     ``_BITSLICE_CELLS`` candidates × informative types, on a numpy with
     ``bitwise_count``, take the bit-sliced kernel: per-atom bitsets over the
     I types, 8-atom subset tables and popcount sums.  Smaller calls score the
-    candidates in row blocks of about ``_BLOCK_CELLS`` cells.  Both run while
-    the counts sum below 2⁵³, where the row-blocked float64 sums are exact;
-    larger totals take the exact pure-Python path.
+    candidates in row blocks of about ``_BLOCK_CELLS`` cells, whose float64
+    sums are exact only while the counts sum below 2⁵³; past that the
+    bit-sliced kernel takes every call, since its popcount sums are exact
+    in int64.  Counts summing past the int64 lane, masks past it, or a numpy
+    without ``bitwise_count`` on counts past 2⁵³ take the exact pure-Python
+    path.
     """
-    candidates = [candidate & positive_mask for candidate in restricted_candidates]
     chosen = backend or default_backend()
     if (
         chosen == "numpy"
         and HAVE_NUMPY
-        and info_masks
-        and candidates
-        and _fits_int64(info_masks)
-        and _fits_int64(candidates)
+        and len(info_masks)
+        and len(restricted_candidates)
         and _fits_int64((positive_mask, *negative_masks))
-        and sum(info_counts) < _EXACT_FLOAT_LIMIT
+        and _fits_int64(info_masks)
     ):
-        bit_sliced = (
-            _HAVE_BITWISE_COUNT and len(candidates) * len(info_masks) >= _BITSLICE_CELLS
-        )
-        kernel = _np_bitsliced_prune_counts if bit_sliced else _np_prune_counts
-        return kernel(info_masks, info_counts, candidates, positive_mask, negative_masks)
-    results: list[tuple[int, int]] = []
-    for restricted_candidate in candidates:
+        if isinstance(restricted_candidates, _np.ndarray):
+            candidates = restricted_candidates & positive_mask
+        else:
+            candidates = [candidate & positive_mask for candidate in restricted_candidates]
+        kernel = _np_prune_kernel(len(candidates) * len(info_masks), _count_total(info_counts))
+        if kernel is not None and _fits_int64(candidates):
+            sums = kernel(info_masks, info_counts, candidates, positive_mask, negative_masks)
+            return (sums[0], sums[1]) if columns else list(zip(*sums.tolist()))
+    info_masks = _as_list(info_masks)
+    info_counts = _as_list(info_counts)
+    if_positive: list[int] = []
+    if_negative: list[int] = []
+    for candidate in _as_list(restricted_candidates):
+        restricted_candidate = candidate & positive_mask
         resolved_if_positive = 0
         resolved_if_negative = 0
         for mask, count in zip(info_masks, info_counts, strict=True):
@@ -286,8 +316,93 @@ def prune_counts_batch(
             # If labeled negative: E(t) joins the negative types.
             if (positive_mask & mask) & ~restricted_candidate == 0:
                 resolved_if_negative += count
-        results.append((resolved_if_positive, resolved_if_negative))
-    return results
+        if_positive.append(resolved_if_positive)
+        if_negative.append(resolved_if_negative)
+    return (if_positive, if_negative) if columns else list(zip(if_positive, if_negative, strict=True))
+
+
+def score_levels(
+    if_positive: Sequence[int],
+    if_negative: Sequence[int],
+    value: Callable[[int, int], float],
+) -> Iterator[list[int]]:
+    """Candidate positions grouped by ``value(a, b)`` of their counts, best first.
+
+    Takes the count columns of :func:`prune_counts_batch`.  ``value`` is a
+    scalar Python call, made once per *distinct* ``(a, b)`` pair: scores stay
+    exactly what the scalar function returns (a vectorized ``log2`` may
+    differ from :func:`math.log2` in the last ulp, which would move ties),
+    while the grouping and the level tests run on arrays.  The best level
+    costs one maximum; later ones are sorted only when a caller reads on.
+    """
+    if HAVE_NUMPY and isinstance(if_positive, _np.ndarray) and len(if_positive):
+        span = int(if_negative.max()) + 1
+        if (int(if_positive.max()) + 1) * span <= _INT64_LIMIT:
+            # One int64 key per pair, so sorting the keys groups equal pairs.
+            keys = if_positive * span + if_negative
+            order = keys.argsort()
+            ordered = keys[order]
+            starts = _np.ones(len(keys), dtype=bool)
+            _np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+            inverse = _np.empty(len(keys), dtype=_np.intp)
+            inverse[order] = _np.cumsum(starts) - 1
+            first = order[starts]
+            values = [
+                value(a, b)
+                for a, b in zip(
+                    if_positive[first].tolist(), if_negative[first].tolist(), strict=True
+                )
+            ]
+            scores = _np.asarray(values)[inverse]
+            yield from _levels(values, lambda level: _np.flatnonzero(scores == level).tolist())
+            return
+        if_positive, if_negative = if_positive.tolist(), if_negative.tolist()
+    pair_index: dict[tuple[int, int], int] = {}
+    pairs = [
+        pair_index.setdefault(pair, len(pair_index))
+        for pair in zip(if_positive, if_negative, strict=True)
+    ]
+    values = [value(a, b) for a, b in pair_index]
+    yield from _levels(
+        values,
+        lambda level: [position for position, pair in enumerate(pairs) if values[pair] == level],
+    )
+
+
+def _levels(values: list[float], positions_at: Callable[[float], list[int]]) -> Iterator[list[int]]:
+    """``positions_at(level)`` for each distinct value, largest first."""
+    if not values:
+        return
+    best = max(values)
+    yield positions_at(best)
+    for level in sorted({v for v in values if v < best}, reverse=True):
+        yield positions_at(level)
+
+
+def _count_total(counts: Sequence[int]) -> int:
+    """The sum of the (non-negative) counts.
+
+    A count array comes from a :class:`NumpyTypeTable`, which is only built
+    when its total fits the int64 lane, so the array sum cannot wrap.
+    """
+    if isinstance(counts, _np.ndarray):
+        return int(counts.sum())
+    return sum(counts)
+
+
+def _np_prune_kernel(cells: int, total: int):
+    """The numpy lookahead kernel for a call of ``cells`` cells, or ``None``.
+
+    The row-blocked kernel's float64 sums need ``total < 2⁵³``; the
+    bit-sliced kernel's popcount sums only need it to fit the int64 lane.
+    """
+    if not _fits_int64((total,)):
+        return None
+    if _HAVE_BITWISE_COUNT and (cells >= _BITSLICE_CELLS or total >= _EXACT_FLOAT_LIMIT):
+        return _np_bitsliced_prune_counts
+    if total < _EXACT_FLOAT_LIMIT:
+        return _np_prune_counts
+    return None
 
 
 def _antichain_complements(positive_mask: int, negative_masks: Sequence[int]) -> list[int]:
@@ -349,7 +464,7 @@ def _np_prune_counts(
         scratch = _np.bitwise_or(under_m, block, out=scratch)
         test = _np.equal(scratch, block, out=test)
         sums[1, start:stop] = test @ weights
-    return list(zip(*sums.tolist()))
+    return sums
 
 
 def _bit_columns(values: Sequence[int]):
@@ -468,7 +583,66 @@ def _np_bitsliced_prune_counts(
         # no atom of M ∖ c.
         _and_rows(lacks, ~block, test, scratch)
         sums[1, start:stop] = _weighted_sums(test, planes, shifts, scratch)
-    return list(zip(*sums.tolist()))
+    return sums
+
+
+# --------------------------------------------------------------------- #
+# Grouping the informative snapshot by restricted type
+# --------------------------------------------------------------------- #
+class TypeGroups:
+    """An informative snapshot grouped by restricted type ``E(t) ∩ M``.
+
+    ``restricted`` holds the distinct restricted types in ascending order:
+    the candidate set the lookahead kernel scores, an int64 array for a
+    numpy snapshot and a list otherwise.  Every lookahead quantity of a
+    candidate tuple depends on its type only through this restriction, so
+    groups, not tuples, are what the strategies score; :meth:`members` maps
+    the winning groups back to their full types.
+    """
+
+    __slots__ = ("restricted", "_masks", "_counts", "_inverse")
+
+    def __init__(
+        self, masks: Sequence[int], counts: Sequence[int], positive_mask: int
+    ) -> None:
+        self._masks = masks
+        self._counts = counts
+        if HAVE_NUMPY and isinstance(masks, _np.ndarray):
+            # The numpy table's masks fit the int64 lane, so bits of M past
+            # it restrict nothing.
+            under_m = masks & (positive_mask & (_INT64_LIMIT - 1))
+            self.restricted, self._inverse = _np.unique(under_m, return_inverse=True)
+        else:
+            under_m = [mask & positive_mask for mask in masks]
+            self.restricted = sorted(set(under_m))
+            position = {restricted: group for group, restricted in enumerate(self.restricted)}
+            self._inverse = [position[restricted] for restricted in under_m]
+
+    def __len__(self) -> int:
+        return len(self.restricted)
+
+    def totals(self) -> list[int]:
+        """The unlabeled count of each group, summed exactly."""
+        if isinstance(self._inverse, list):
+            totals = [0] * len(self.restricted)
+            for group, count in zip(self._inverse, self._counts, strict=True):
+                totals[group] += count
+            return totals
+        totals = _np.zeros(len(self.restricted), dtype=_np.int64)
+        _np.add.at(totals, self._inverse, self._counts)
+        return totals.tolist()
+
+    def members(self, groups: Sequence[int]) -> list[int]:
+        """The full type masks of the given groups, in snapshot order."""
+        if isinstance(self._inverse, list):
+            chosen = set(groups)
+            return [
+                mask for mask, group in zip(self._masks, self._inverse, strict=True)
+                if group in chosen
+            ]
+        selected = _np.zeros(len(self.restricted), dtype=bool)
+        selected[list(groups)] = True
+        return self._masks[selected[self._inverse]].tolist()
 
 
 # --------------------------------------------------------------------- #
@@ -479,15 +653,18 @@ class _BaseTypeTable:
 
     Rows are the distinct equality types, in interning order; ``certain`` and
     ``unlabeled`` are the mutable columns.  Mutators go through :meth:`_own`
-    so that :meth:`copy` can lend the arrays out instead of duplicating them.
+    so that :meth:`copy` can lend the arrays out instead of duplicating them,
+    and drop the informative snapshot, which is otherwise taken once between
+    two mutations (:meth:`informative_arrays`).
     """
 
-    __slots__ = ("_masks", "_index", "_owned")
+    __slots__ = ("_masks", "_index", "_owned", "_snapshot")
 
     def __init__(self, masks: Sequence[int]) -> None:
         self._masks: tuple[int, ...] = tuple(masks)
         self._index: dict[int, int] = {mask: i for i, mask in enumerate(self._masks)}
         self._owned = True
+        self._snapshot: tuple[Sequence[int], Sequence[int]] | None = None
 
     def __len__(self) -> int:
         return len(self._masks)
@@ -524,17 +701,33 @@ class _BaseTypeTable:
         """
         raise NotImplementedError
 
+    def informative_arrays(self) -> tuple[Sequence[int], Sequence[int]]:
+        """The informative snapshot: masks and unlabeled counts, table order.
+
+        A type is informative when its certain label is unknown and it still
+        has unlabeled tuples.  The numpy table returns two int64 arrays, the
+        pure-Python one two lists; callers must not mutate either.  The
+        snapshot is taken once and reused until the next mutation.
+        """
+        if self._snapshot is None:
+            self._snapshot = self._informative_rows()
+        return self._snapshot
+
+    def _informative_rows(self) -> tuple[Sequence[int], Sequence[int]]:
+        raise NotImplementedError
+
     def informative_items(self) -> list[tuple[int, int]]:
         """``(mask, unlabeled_count)`` of every informative type, table order."""
-        raise NotImplementedError
+        masks, counts = self.informative_arrays()
+        return list(zip(_as_list(masks), _as_list(counts), strict=True))
 
     def informative_count(self) -> int:
         """Total unlabeled tuples across informative types."""
-        raise NotImplementedError
+        return sum(self.informative_arrays()[1])
 
     def has_informative(self) -> bool:
         """Whether any informative tuple remains."""
-        raise NotImplementedError
+        return len(self.informative_arrays()[0]) > 0
 
     def copy(self) -> TypeTable:
         """An O(1) copy-on-write clone sharing the column arrays."""
@@ -546,22 +739,25 @@ class _BaseTypeTable:
         positive_mask: int,
         negative_masks: Sequence[int],
         backend: str | None = None,
-    ) -> list[tuple[int, int]]:
+        columns: bool = False,
+    ):
         """Score candidates against this table's own informative snapshot.
 
         The table-level entry point of the lookahead kernel: the snapshot is
         taken and consumed in one place, which is what lets
         :class:`ShardedTypeTable` override it with a fanned per-shard
         evaluation while callers stay backend- and sharding-agnostic.
+        ``columns`` is passed on to :func:`prune_counts_batch`.
         """
-        items = self.informative_items()
+        masks, counts = self.informative_arrays()
         return prune_counts_batch(
-            [mask for mask, _ in items],
-            [count for _, count in items],
+            masks,
+            counts,
             restricted_candidates,
             positive_mask,
             negative_masks,
             backend=backend,
+            columns=columns,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -582,6 +778,7 @@ class PyTypeTable(_BaseTypeTable):
         self._unlabeled = list(sizes)
 
     def _own(self) -> None:
+        self._snapshot = None
         if not self._owned:
             self._certain = array("b", self._certain)
             self._unlabeled = list(self._unlabeled)
@@ -621,27 +818,13 @@ class PyTypeTable(_BaseTypeTable):
                         flipped_negative.append(mask)
         return flipped_positive, flipped_negative
 
-    def informative_items(self) -> list[tuple[int, int]]:
+    def _informative_rows(self) -> tuple[list[int], list[int]]:
         certain = self._certain
         unlabeled = self._unlabeled
-        return [
-            (mask, unlabeled[i])
-            for i, mask in enumerate(self._masks)
-            if certain[i] == UNKNOWN and unlabeled[i]
+        rows = [
+            i for i in range(len(self._masks)) if certain[i] == UNKNOWN and unlabeled[i]
         ]
-
-    def informative_count(self) -> int:
-        certain = self._certain
-        return sum(
-            count for i, count in enumerate(self._unlabeled) if certain[i] == UNKNOWN
-        )
-
-    def has_informative(self) -> bool:
-        certain = self._certain
-        unlabeled = self._unlabeled
-        return any(
-            certain[i] == UNKNOWN and unlabeled[i] for i in range(len(self._masks))
-        )
+        return [self._masks[i] for i in rows], [unlabeled[i] for i in rows]
 
     def copy(self) -> PyTypeTable:
         clone = PyTypeTable.__new__(PyTypeTable)
@@ -649,6 +832,7 @@ class PyTypeTable(_BaseTypeTable):
         clone._index = self._index
         clone._certain = self._certain
         clone._unlabeled = self._unlabeled
+        clone._snapshot = self._snapshot
         clone._owned = False
         self._owned = False
         return clone
@@ -666,6 +850,7 @@ class NumpyTypeTable(_BaseTypeTable):
         self._unlabeled = _np.asarray(sizes, dtype=_np.int64)
 
     def _own(self) -> None:
+        self._snapshot = None
         if not self._owned:
             self._certain = self._certain.copy()
             self._unlabeled = self._unlabeled.copy()
@@ -705,19 +890,14 @@ class NumpyTypeTable(_BaseTypeTable):
         flipped_negative = [masks[i] for i in _np.nonzero(flip_neg)[0].tolist()]
         return flipped_positive, flipped_negative
 
-    def informative_items(self) -> list[tuple[int, int]]:
+    def _informative_rows(self):
+        # Boolean indexing copies, so later in-place decrements never reach
+        # a snapshot a caller still holds.
         selector = (self._certain == UNKNOWN) & (self._unlabeled > 0)
-        masks = self._masks
-        unlabeled = self._unlabeled
-        return [
-            (masks[i], int(unlabeled[i])) for i in _np.nonzero(selector)[0].tolist()
-        ]
+        return self._masks_arr[selector], self._unlabeled[selector]
 
     def informative_count(self) -> int:
-        return int(self._unlabeled[self._certain == UNKNOWN].sum())
-
-    def has_informative(self) -> bool:
-        return bool(((self._certain == UNKNOWN) & (self._unlabeled > 0)).any())
+        return int(self.informative_arrays()[1].sum())
 
     def copy(self) -> NumpyTypeTable:
         clone = NumpyTypeTable.__new__(NumpyTypeTable)
@@ -726,6 +906,7 @@ class NumpyTypeTable(_BaseTypeTable):
         clone._masks_arr = self._masks_arr
         clone._certain = self._certain
         clone._unlabeled = self._unlabeled
+        clone._snapshot = self._snapshot
         clone._owned = False
         self._owned = False
         return clone
@@ -859,6 +1040,16 @@ class ShardedTypeTable:
             flipped_negative.extend(negative)
         return flipped_positive, flipped_negative
 
+    def informative_arrays(self) -> tuple[list[int], list[int]]:
+        """The shard snapshots concatenated in shard = table order, as lists."""
+        masks: list[int] = []
+        counts: list[int] = []
+        for shard in self._shards:
+            shard_masks, shard_counts = shard.informative_arrays()
+            masks += _as_list(shard_masks)
+            counts += _as_list(shard_counts)
+        return masks, counts
+
     def informative_items(self) -> list[tuple[int, int]]:
         """``(mask, unlabeled_count)`` of every informative type, table order."""
         items: list[tuple[int, int]] = []
@@ -890,9 +1081,23 @@ class ShardedTypeTable:
         positive_mask: int,
         negative_masks: Sequence[int],
         backend: str | None = None,
-    ) -> list[tuple[int, int]]:
+        columns: bool = False,
+    ):
         """The lookahead kernel as a sum of per-shard partial evaluations."""
-        candidates = list(restricted_candidates)
+        counts = self._merged_prune_counts(
+            list(_as_list(restricted_candidates)), positive_mask, negative_masks, backend
+        )
+        if columns:
+            return [a for a, _ in counts], [b for _, b in counts]
+        return counts
+
+    def _merged_prune_counts(
+        self,
+        candidates: list[int],
+        positive_mask: int,
+        negative_masks: Sequence[int],
+        backend: str | None,
+    ) -> list[tuple[int, int]]:
         if not candidates:
             return []
         shards = self._shards

@@ -11,8 +11,11 @@ Two builders produce the result: :func:`diff_statuses` compares two full
 before/after classifications (the from-scratch reference, kept for external
 callers and tests), while :func:`delta_result` assembles the same result
 directly from the equality types the :class:`~repro.core.informativeness.TypeStatusCache`
-reports as flipped by the label — O(#flipped tuples) instead of two full
-table sweeps, which is what the incremental engine uses.
+reports as flipped by the label, which is what the incremental engine uses.
+Its id tuples are lazy: the interactive loop only reads ``pruned_count``,
+which comes from the flipped types' sizes, so the ids are listed only when
+a caller first reads them — O(#flipped types + #labels) per label instead
+of O(#flipped tuples).
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ from dataclasses import dataclass, field
 from .equality_types import EqualityTypeIndex
 from .examples import Label
 from .informativeness import TupleStatus, unlabeled_ids_of_types
+
+#: The id fields a :func:`delta_result` result lists on first access.
+_ID_FIELDS = ("newly_certain_positive", "newly_certain_negative")
 
 
 @dataclass(frozen=True)
@@ -40,6 +46,9 @@ class PropagationResult:
         tuple itself counts in ``informative_before`` when it was informative).
     consistent:
         Whether the example set is still consistent after the label.
+
+    A result built by :func:`delta_result` lists its two id tuples on first
+    access, from the flipped types and the labeled ids of its own step.
     """
 
     tuple_id: int
@@ -55,9 +64,39 @@ class PropagationResult:
         """All tuples grayed out by this label (excluding the labeled tuple)."""
         return tuple(sorted(self.newly_certain_positive + self.newly_certain_negative))
 
+    def __getattr__(self, name: str) -> tuple[int, ...]:
+        # Reached only while a lazy result's id fields are still unset.
+        pending = self.__dict__.get("_pending")
+        if pending is None or name not in _ID_FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        type_index, labeled_ids, positive_types, negative_types = pending
+        for field_name, type_masks in zip(_ID_FIELDS, (positive_types, negative_types), strict=True):
+            ids = tuple(unlabeled_ids_of_types(type_index, type_masks, labeled_ids))
+            object.__setattr__(self, field_name, ids)
+        del self.__dict__["_pending"]
+        return self.__dict__[name]
+
+    def __reduce__(self):
+        # Pickle the listed ids, not the type index a lazy result holds.
+        return (
+            type(self),
+            (
+                self.tuple_id,
+                self.label,
+                self.newly_certain_positive,
+                self.newly_certain_negative,
+                self.informative_before,
+                self.informative_after,
+                self.consistent,
+            ),
+        )
+
     @property
     def pruned_count(self) -> int:
         """Number of tuples grayed out by this label."""
+        pruned = self.__dict__.get("_pruned")
+        if pruned is not None:
+            return pruned
         return len(self.newly_certain_positive) + len(self.newly_certain_negative)
 
     @property
@@ -125,20 +164,33 @@ def delta_result(
     the label and became certain after it (as reported by
     :meth:`~repro.core.informativeness.TypeStatusCache.apply_label`); the
     grayed-out tuples are exactly the unlabeled tuples of those types,
-    excluding the tuple that was just labeled — materialised through the
-    shared (array-accelerated) :func:`~repro.core.informativeness.unlabeled_ids_of_types`
-    helper.  ``labeled_ids`` must be the labeled set *after* the new label.
+    excluding the tuple that was just labeled.  ``labeled_ids`` must be the
+    labeled set *after* the new label.
+
+    ``pruned_count`` is the flipped types' sizes minus their labeled tuples.
+    The id tuples are listed on first access, through the shared
+    (array-accelerated) :func:`~repro.core.informativeness.unlabeled_ids_of_types`
+    helper, from the flipped types and ``labeled_ids`` as given here, so a
+    result read after later labels still describes its own step.
     """
-
-    def _tuples(type_masks: Iterable[int]) -> tuple[int, ...]:
-        return tuple(unlabeled_ids_of_types(type_index, type_masks, labeled_ids))
-
-    return PropagationResult(
-        tuple_id=labeled_tuple_id,
-        label=label,
-        newly_certain_positive=_tuples(flipped_positive_types),
-        newly_certain_negative=_tuples(flipped_negative_types),
-        informative_before=informative_before,
-        informative_after=informative_after,
-        consistent=consistent,
-    )
+    positive_types = tuple(flipped_positive_types)
+    negative_types = tuple(flipped_negative_types)
+    flipped = {*positive_types, *negative_types}
+    sizes = type_index.type_sizes()
+    pruned = 0
+    if flipped:
+        pruned = sum(sizes[mask] for mask in flipped) - sum(
+            1 for tuple_id in labeled_ids if type_index.mask(tuple_id) in flipped
+        )
+    result = PropagationResult.__new__(PropagationResult)
+    for name, value in (
+        ("tuple_id", labeled_tuple_id),
+        ("label", label),
+        ("informative_before", informative_before),
+        ("informative_after", informative_after),
+        ("consistent", consistent),
+        ("_pruned", pruned),
+        ("_pending", (type_index, labeled_ids, positive_types, negative_types)),
+    ):
+        object.__setattr__(result, name, value)
+    return result

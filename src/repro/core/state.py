@@ -23,7 +23,8 @@ full example set.  One label is applied as a *delta*:
    the currently informative equality types (certain types can never revert
    while the examples stay consistent) and reports which types flipped;
 3. the :class:`~repro.core.propagation.PropagationResult` is assembled from
-   the flipped types alone — no before/after full-table classification.
+   the flipped types alone — no before/after full-table classification, and
+   its grayed-out ids are only listed when a caller reads them.
 
 ``statuses()``, ``informative_ids()`` and ``has_informative_tuple()`` read the
 cache instead of sweeping the table, ``prune_counts_all`` scores a whole
@@ -35,7 +36,7 @@ instead of rebuild-from-scratch.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from ..exceptions import InconsistentLabelError
 from ..relational.candidate import CandidateTable
@@ -43,6 +44,7 @@ from .atoms import AtomScope, AtomUniverse
 from .equality_types import EqualityTypeIndex
 from .examples import ExampleSet, Label
 from .informativeness import TupleStatus, TypeStatusCache, unlabeled_ids_of_types
+from .kernels import TypeGroups
 from .propagation import PropagationResult, delta_result
 from .queries import JoinQuery
 from .space import ConsistentQuerySpace
@@ -205,34 +207,23 @@ class InferenceState:
         """
         return list(self._cache.informative_types())
 
-    def informative_restricted_types(self) -> list[tuple[int, list[int], int]]:
+    def informative_restricted_types(self) -> TypeGroups:
         """Informative types grouped by restricted type ``E(t) ∩ M``.
 
-        Returns ``(restricted_mask, full_type_masks, unlabeled_count)`` per
-        distinct restricted type, in first-appearance order of the snapshot.
         Every lookahead/local quantity of a candidate tuple depends on its
-        type only through the restriction under ``M``, so this grouping is
-        the candidate set the type-level strategies score — typically orders
-        of magnitude smaller than the informative tuple set.
+        type only through the restriction under ``M``, so the groups'
+        ``restricted`` types are the candidate set the type-level strategies
+        score — typically orders of magnitude smaller than the informative
+        tuple set.  The grouping runs on the cache's array snapshot (one
+        ``unique`` over ``masks & M`` on the numpy backend), the same
+        snapshot the lookahead kernel of this step scores against.
         """
-        positive_mask = self.space.positive_mask
-        full_types: dict[int, list[int]] = {}
-        totals: dict[int, int] = {}
-        for mask, count in self.informative_type_snapshot():
-            restricted = mask & positive_mask
-            if restricted not in full_types:
-                full_types[restricted] = []
-                totals[restricted] = 0
-            full_types[restricted].append(mask)
-            totals[restricted] += count
-        return [
-            (restricted, masks, totals[restricted])
-            for restricted, masks in full_types.items()
-        ]
+        masks, counts = self._cache.informative_arrays()
+        return TypeGroups(masks, counts, self.space.positive_mask)
 
     def prune_counts_for_restricted(
-        self, restricted_masks: list[int]
-    ) -> list[tuple[int, int]]:
+        self, restricted_masks: Sequence[int], columns: bool = False
+    ):
         """Prune counts per restricted candidate type, in one kernel call.
 
         The counts only depend on a candidate through ``E(t) ∩ M``: a
@@ -241,10 +232,15 @@ class InferenceState:
         ``M``.  All candidates are scored against one shared informative
         snapshot, held and (when the table is sharded) fanned by the status
         cache's type table — the strategies built on this method parallelize
-        without any per-strategy changes.
+        without any per-strategy changes.  Returns one ``(a, b)`` pair per
+        candidate, or with ``columns`` the two count columns that
+        :func:`~repro.core.kernels.score_levels` ranks.
         """
         return self._cache.prune_counts_for_restricted(
-            restricted_masks, self.space.positive_mask, self.space.negative_masks
+            restricted_masks,
+            self.space.positive_mask,
+            self.space.negative_masks,
+            columns=columns,
         )
 
     def first_informative_id(self, type_masks: Iterable[int]) -> int | None:

@@ -128,14 +128,11 @@ class LargestTypeStrategy(Strategy):
         id among the full types of the most frequent restricted type(s).
         """
         self._require_informative(state)
-        best_count = -1
-        best_types: list[int] = []
-        for _, full_types, count in state.informative_restricted_types():
-            if count > best_count:
-                best_count = count
-                best_types = list(full_types)
-            elif count == best_count:
-                best_types.extend(full_types)
-        chosen = state.first_informative_id(best_types)
+        groups = state.informative_restricted_types()
+        totals = groups.totals()
+        best = max(totals)
+        chosen = state.first_informative_id(
+            groups.members([group for group, total in enumerate(totals) if total == best])
+        )
         assert chosen is not None
         return chosen

@@ -4,12 +4,13 @@ Where local strategies rely on fixed orders, lookahead strategies "take into
 account the quantity of information that labeling an informative tuple could
 bring to the inference process, by using a generalized notion of entropy"
 (Section 2 of the paper).  All strategies below are built on the same
-primitive, :meth:`InferenceState.prune_counts_all`: for every informative
-tuple ``t`` it returns how many informative tuples would be *resolved*
-(labeled or grayed out) if the user answered ``+`` and if she answered ``−``,
-computing the informative-type snapshot those counts are scored against once
-per step and sharing scores between candidates of the same restricted
-equality type.
+primitive, the prune counts of :meth:`InferenceState.prune_counts_all`: for
+every informative tuple ``t``, how many informative tuples would be
+*resolved* (labeled or grayed out) if the user answered ``+`` and if they
+answered ``−``.  The strategies compute them per restricted equality type
+(:meth:`InferenceState.informative_restricted_types`), against one
+informative-type snapshot per step, and share scores between candidates of
+the same restricted type.
 
 Given those two counts ``(a, b)`` for every informative tuple the strategies
 differ only in the score they maximise:
@@ -30,9 +31,11 @@ differ only in the score they maximise:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from ...exceptions import StrategyError
 from ..examples import Label
+from ..kernels import score_levels
 from ..state import InferenceState
 from .base import Strategy
 
@@ -47,18 +50,42 @@ def binary_entropy(probability: float) -> float:
     )
 
 
+def ranked_informative_ids(
+    state: InferenceState, value: Callable[[int, int], float], limit: int
+) -> list[int]:
+    """Up to ``limit`` informative tuple ids, by ``value`` of their prune counts.
+
+    The order is (score descending, tuple id ascending), exactly as if every
+    informative tuple were scored on its own.  Candidates sharing a
+    restricted type share their score, so the restricted types are scored
+    in one kernel call and the score levels are walked best first, each
+    contributing the smallest unlabeled ids across its full types.
+    """
+    ranked: list[int] = []
+    if limit < 1:
+        return ranked
+    groups = state.informative_restricted_types()
+    counts = state.prune_counts_for_restricted(groups.restricted, columns=True)
+    for level in score_levels(*counts, value):
+        ranked += state.first_informative_ids(groups.members(level), limit - len(ranked))
+        if len(ranked) >= limit:
+            break
+    return ranked
+
+
 class _ScoredLookaheadStrategy(Strategy):
     """Common machinery: score every informative tuple from its prune counts.
 
     Scoring is type-level: candidates sharing a restricted equality type
-    ``E(t) ∩ M`` share both prune counts, so the strategy scores one
-    representative per distinct restricted type — all of them in a single
-    batched kernel call (:meth:`InferenceState.prune_counts_for_restricted`)
-    — and only then resolves the winning types back to the smallest unlabeled
-    tuple id.  The chosen tuple is identical to scoring every candidate
-    individually: the score maximum over candidates equals the maximum over
-    their types, and the old smallest-id tie-break is exactly the smallest id
-    across all types achieving that maximum.
+    ``E(t) ∩ M`` share both prune counts, so the strategy scores the
+    distinct restricted types — all of them in a single batched kernel call
+    (:meth:`InferenceState.prune_counts_for_restricted`), and :meth:`score`
+    once per distinct pair of counts — and only then resolves the winning
+    types back to the smallest unlabeled tuple id.  The chosen tuple is
+    identical to scoring every candidate individually: the score maximum
+    over candidates equals the maximum over their types, and the old
+    smallest-id tie-break is exactly the smallest id across all types
+    achieving that maximum.
     """
 
     def score(self, resolved_if_positive: int, resolved_if_negative: int) -> float:
@@ -69,17 +96,9 @@ class _ScoredLookaheadStrategy(Strategy):
         """The informative tuple with the best score (ties: smallest id)."""
         self._require_informative(state)
         groups = state.informative_restricted_types()
-        counts = state.prune_counts_for_restricted([restricted for restricted, _, _ in groups])
-        best_score = -math.inf
-        best_types: list[int] = []
-        for (_, full_types, _), (resolved_plus, resolved_minus) in zip(groups, counts, strict=True):
-            value = self.score(resolved_plus, resolved_minus)
-            if value > best_score:
-                best_score = value
-                best_types = list(full_types)
-            elif value == best_score:
-                best_types.extend(full_types)
-        chosen = state.first_informative_id(best_types)
+        counts = state.prune_counts_for_restricted(groups.restricted, columns=True)
+        best = next(score_levels(*counts, self.score))
+        chosen = state.first_informative_id(groups.members(best))
         assert chosen is not None  # informative types always hold an unlabeled tuple
         return chosen
 
@@ -150,23 +169,10 @@ class KStepLookaheadStrategy(Strategy):
     def _beam(self, state: InferenceState) -> list[int]:
         """The most promising informative tuples according to the one-step score.
 
-        Type-level: each restricted type is scored once in the shared kernel
-        call and contributes its ``beam_width`` smallest unlabeled ids, which
-        dominates any per-candidate ranking truncated to the same width.
+        Ranked by ``min(a, b)`` descending, then by tuple id, through the
+        same type-level walk as top-k ranking (:func:`ranked_informative_ids`).
         """
-        groups = state.informative_restricted_types()
-        if not groups:
-            return []
-        counts = state.prune_counts_for_restricted(
-            [restricted for restricted, _, _ in groups]
-        )
-        scored: list[tuple[int, int]] = []
-        for (_, full_types, _), (resolved_plus, resolved_minus) in zip(groups, counts, strict=True):
-            value = min(resolved_plus, resolved_minus)
-            for tuple_id in state.first_informative_ids(full_types, self.beam_width):
-                scored.append((value, tuple_id))
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        return [tuple_id for _, tuple_id in scored[: self.beam_width]]
+        return ranked_informative_ids(state, min, self.beam_width)
 
     def _worst_case_remaining(self, state: InferenceState, tuple_id: int, depth: int) -> int:
         """Worst-case number of informative tuples left after asking about ``tuple_id``.

@@ -64,8 +64,9 @@ class OptimalStrategy(Strategy):
         smallest unlabeled tuple id, as before.
         """
         representatives: list[int] = []
-        for _, full_types, _ in state.informative_restricted_types():
-            tuple_id = state.first_informative_id(full_types)
+        groups = state.informative_restricted_types()
+        for group in range(len(groups)):
+            tuple_id = state.first_informative_id(groups.members([group]))
             if tuple_id is not None:
                 representatives.append(tuple_id)
         return sorted(representatives)

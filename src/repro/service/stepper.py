@@ -41,7 +41,7 @@ from ..core.propagation import PropagationResult
 from ..core.queries import JoinQuery
 from ..core.state import InferenceState
 from ..core.strategies.base import Strategy
-from ..core.strategies.lookahead import EntropyStrategy
+from ..core.strategies.lookahead import EntropyStrategy, ranked_informative_ids
 from ..core.strategies.registry import create_strategy
 from ..exceptions import StrategyError
 from ..relational.candidate import CandidateTable
@@ -341,14 +341,7 @@ class InferenceSession:
         tuples remain; never raises.
         """
         batch_size = k if k is not None else self.k
-        candidates = self.state.informative_ids()
-        counts = self.state.prune_counts_all(candidates)
-        scored = sorted(
-            candidates,
-            key=lambda tid: (self._scorer.score(*counts[tid]), -tid),
-            reverse=True,
-        )
-        return scored[:batch_size]
+        return ranked_informative_ids(self.state, self._scorer.score, batch_size)
 
     def labelable_ids(self) -> list[int]:
         """The tuples the user may label next (manual modes).

@@ -79,3 +79,32 @@ class TestEndToEndPropagation:
         result = engine.run(GoalQueryOracle(query_q2))
         resolved = sum(p.resolved_count for p in result.trace.propagations)
         assert resolved == len(figure1_table)
+
+
+class TestLazyPropagationIds:
+    def test_lazy_result_equals_its_eager_twin(self, figure1_table):
+        state = InferenceState(figure1_table)
+        result = state.add_label(tid(12), Label.POSITIVE)
+        assert result.pruned_count == 3
+        eager = PropagationResult(
+            tuple_id=tid(12),
+            label=Label.POSITIVE,
+            newly_certain_positive=tuple(sorted({tid(3), tid(4), tid(7)})),
+            informative_before=12,
+            informative_after=8,
+        )
+        assert result == eager
+        assert hash(result) == hash(eager)
+        assert result.summary() == eager.summary()
+
+    def test_pickled_result_carries_its_ids_not_the_index(self, figure1_table):
+        import pickle
+
+        state = InferenceState(figure1_table)
+        result = state.add_label(tid(12), Label.NEGATIVE)
+        state.add_label(tid(1), Label.NEGATIVE)
+        payload = pickle.dumps(result)
+        assert b"EqualityTypeIndex" not in payload
+        restored = pickle.loads(payload)
+        assert restored == result
+        assert set(restored.newly_certain_negative) == {tid(1), tid(5), tid(9)}

@@ -10,8 +10,9 @@ the whole hot loop, so they get their own equivalence suite:
   exact pure-Python path);
 * the numpy lookahead kernel must give the same answer whatever its row
   block size and on either side of the bit-sliced cutoff, with or without
-  ``numpy.bitwise_count``, take the exact pure-Python path once the counts
-  sum to 2⁵³, and score a 1500 × 1500 call in a few MB;
+  ``numpy.bitwise_count``, take the exact bit-sliced path (or, without
+  ``bitwise_count``, the pure-Python one) once the counts sum to 2⁵³, and
+  score a 1500 × 1500 call in a few MB;
 * candidates carrying bits outside ``M`` must score as their restriction to
   ``M`` on every path;
 * the two :class:`TypeTable` implementations must stay observationally
@@ -274,6 +275,52 @@ class TestPruneCountsLimits:
         )
         assert got == expected
 
+    @pytest.mark.skipif(
+        not kernels._HAVE_BITWISE_COUNT, reason="the bit-sliced path needs numpy.bitwise_count"
+    )
+    @SETTINGS
+    @given(
+        inputs=kernel_inputs(),
+        offsets=st.lists(st.integers(min_value=-(1 << 20), max_value=1 << 20), max_size=10),
+        candidate_types=st.lists(NARROW_MASKS, min_size=1, max_size=6),
+    )
+    def test_counts_near_2_55_take_the_exact_bit_sliced_path(
+        self, inputs, offsets, candidate_types
+    ):
+        # Counts around 2⁵⁵ sum past 2⁵³ (no float64 sum is exact there) but
+        # stay inside the int64 lane: however small the call, the bit-sliced
+        # kernel takes it and its popcount sums match the reference exactly.
+        masks, _, positive_mask, negative_masks = inputs
+        masks = masks[: len(offsets)]
+        if not masks:
+            return
+        counts = [(1 << 55) + offset for offset in offsets[: len(masks)]]
+        snapshot = list(zip(masks, counts, strict=True))
+        expected = [
+            _reference_prune_counts(snapshot, candidate, positive_mask, negative_masks)
+            for candidate in candidate_types
+        ]
+        taken = []
+        with pytest.MonkeyPatch.context() as patch:
+            kernel = kernels._np_bitsliced_prune_counts
+            patch.setattr(
+                kernels,
+                "_np_bitsliced_prune_counts",
+                lambda *args: taken.append("bit-sliced") or kernel(*args),
+            )
+            patch.setattr(kernels, "_np_prune_counts", _never_called)
+            got = prune_counts_batch(
+                masks, counts, candidate_types, positive_mask, negative_masks, backend="numpy"
+            )
+            assert taken == ["bit-sliced"]
+            assert got == expected
+            # Without bitwise_count the same call takes the pure-Python path.
+            patch.setattr(kernels, "_HAVE_BITWISE_COUNT", False)
+            patch.setattr(kernels, "_np_bitsliced_prune_counts", _never_called)
+            assert prune_counts_batch(
+                masks, counts, candidate_types, positive_mask, negative_masks, backend="numpy"
+            ) == expected
+
     @pytest.mark.skipif(not HAVE_NUMPY, reason="bounds the numpy path's memory")
     def test_large_call_memory_stays_bounded(self):
         # A 1500 × 1500 call: one int64 K×I temporary alone would take 18 MB.
@@ -341,6 +388,63 @@ def bitslice_inputs(draw):
         negatives += [neg, neg, neg & draw(LANE_MASKS), neg ^ (draw(LANE_MASKS) & ~positive_mask)]
     negatives = draw(st.permutations(negatives))
     return masks, counts, candidates, positive_mask, negatives
+
+
+class TestTypeGroups:
+    """Grouping a snapshot by ``E(t) ∩ M`` ≡ a dict over the restricted types."""
+
+    @SETTINGS
+    @given(inputs=kernel_inputs(), data=st.data())
+    def test_groups_match_a_dict_on_lists_and_arrays(self, inputs, data):
+        masks, counts, positive_mask, _ = inputs
+        members: dict[int, list[int]] = {}
+        totals: dict[int, int] = {}
+        for mask, count in zip(masks, counts, strict=True):
+            members.setdefault(mask & positive_mask, []).append(mask)
+            totals[mask & positive_mask] = totals.get(mask & positive_mask, 0) + count
+        chosen = data.draw(st.lists(st.integers(min_value=0, max_value=len(totals))))
+        chosen = [group for group in chosen if group < len(totals)]
+        restricted = sorted(totals)
+        snapshots = [(masks, counts)]
+        if HAVE_NUMPY:
+            import numpy
+
+            snapshots.append(tuple(numpy.asarray(column, dtype=numpy.int64) for column in (masks, counts)))
+        for snapshot_masks, snapshot_counts in snapshots:
+            groups = kernels.TypeGroups(snapshot_masks, snapshot_counts, positive_mask)
+            assert len(groups) == len(restricted)
+            assert list(groups.restricted) == restricted
+            assert groups.totals() == [totals[key] for key in restricted]
+            assert groups.members(chosen) == [
+                mask for mask in masks if restricted.index(mask & positive_mask) in chosen
+            ]
+
+    @SETTINGS
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)),
+            max_size=30,
+        ),
+        scale=st.sampled_from((1, 1 << 40)),
+    )
+    def test_score_levels_rank_every_position_once(self, pairs, scale):
+        # A coarse score, so that distinct pairs share levels; counts near
+        # 2⁴⁰ make the pair keys overflow int64, which lists the columns.
+        pairs = [(a * scale, b * scale) for a, b in pairs]
+
+        def value(a: int, b: int) -> float:
+            return float(min(a, b) // (2 * scale))
+
+        expected = []
+        for level in sorted({value(*pair) for pair in pairs}, reverse=True):
+            expected.append([i for i, pair in enumerate(pairs) if value(*pair) == level])
+        columns = [[a for a, _ in pairs], [b for _, b in pairs]]
+        assert list(kernels.score_levels(*columns, value)) == expected
+        if HAVE_NUMPY and pairs:
+            import numpy
+
+            arrays = [numpy.asarray(column, dtype=numpy.int64) for column in columns]
+            assert list(kernels.score_levels(*arrays, value)) == expected
 
 
 @pytest.mark.skipif(
