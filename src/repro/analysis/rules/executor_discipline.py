@@ -5,8 +5,9 @@ threads or processes at import time (breaking ``import repro`` in contexts
 that may never score a candidate, and forking from whatever state the
 importer happens to hold), and a pool nobody shuts down leaks workers past
 the session that needed them.  The project therefore centralizes pool
-construction in :mod:`repro.core.parallel` — the one reviewed place that
-knows the parallel mode, the worker count and the shutdown story.
+construction in :mod:`repro.core.parallel`, whose one factory,
+:func:`~repro.core.parallel.create_thread_pool`, hands each caller a pool
+that caller owns and shuts down.
 
 The rule flags:
 
@@ -17,8 +18,7 @@ The rule flags:
 * **Pool creation outside the sanctioned module** — calls whose final name
   segment is a pool constructor (``ThreadPoolExecutor``,
   ``ProcessPoolExecutor``, ``Pool``, ``ThreadPool``) in any other file.
-  Obtain pools via :func:`repro.core.parallel.create_thread_pool` or
-  :func:`repro.core.parallel.get_executor` instead.
+  Obtain pools via :func:`repro.core.parallel.create_thread_pool` instead.
 * **Pool-owning classes without a shutdown surface** — a class whose method
   assigns a pool (a pool constructor or ``create_thread_pool``) to a
   ``self`` attribute must define ``close``, ``shutdown``, ``__exit__`` or
@@ -121,7 +121,7 @@ class ExecutorDisciplineRule(Rule):
                         module,
                         node,
                         f"{segment}() created outside repro.core.parallel; use "
-                        "create_thread_pool() or get_executor() instead",
+                        "create_thread_pool() instead",
                     )
             elif isinstance(node, ast.ClassDef):
                 yield from self._check_class(module, node)

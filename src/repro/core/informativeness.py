@@ -216,10 +216,9 @@ class TypeStatusCache:
         """Prune counts per restricted candidate type, via the table kernel.
 
         Delegates to :meth:`TypeTable.prune_counts_informative
-        <repro.core.kernels._BaseTypeTable.prune_counts_informative>`, so a
-        sharded table fans the evaluation across the worker pool while flat
-        tables run the single batched kernel — callers (the strategies, via
-        :class:`~repro.core.state.InferenceState`) never know the difference.
+        <repro.core.kernels._BaseTypeTable.prune_counts_informative>`, which
+        scores every candidate in one batched kernel call against the
+        table's informative snapshot.
         """
         return self._table.prune_counts_informative(
             restricted_masks, positive_mask, negative_masks, columns=columns

@@ -35,10 +35,6 @@ as a kernel over those arrays:
   maximum run on arrays.
 * :func:`certain_codes` — batch classification of arbitrary mask lists (the
   loop-guard scan).
-* :class:`ShardedTypeTable` — the same contract over K contiguous shards,
-  fanning per-shard kernel calls across the worker pool of
-  :mod:`repro.core.parallel` and merging exact partial sums, so one session
-  can use every core without changing a single trace.
 
 **Fast path and fallback.**  When numpy is importable and every mask/count
 fits in a signed 64-bit lane, the kernels run as numpy array expressions
@@ -61,13 +57,9 @@ lookahead.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from array import array
-from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
-
-from . import parallel as _parallel
 
 try:  # The numpy fast path is optional; the pure-Python kernels are exact.
     import numpy as _np
@@ -744,9 +736,7 @@ class _BaseTypeTable:
         """Score candidates against this table's own informative snapshot.
 
         The table-level entry point of the lookahead kernel: the snapshot is
-        taken and consumed in one place, which is what lets
-        :class:`ShardedTypeTable` override it with a fanned per-shard
-        evaluation while callers stay backend- and sharding-agnostic.
+        taken and consumed in one place, so callers stay backend-agnostic.
         ``columns`` is passed on to :func:`prune_counts_batch`.
         """
         masks, counts = self.informative_arrays()
@@ -912,285 +902,18 @@ class NumpyTypeTable(_BaseTypeTable):
         return clone
 
 
-class ShardedTypeTable:
-    """K contiguous shards of one type table, fanned across the worker pool.
+TypeTable = PyTypeTable | NumpyTypeTable
 
-    The table's rows (distinct types, interning order) are partitioned into
-    contiguous spans via :func:`repro.core.parallel.even_ranges`; each span
-    is an ordinary flat :class:`TypeTable` on its own backend.  The full
-    contract holds with trace-identical results:
 
-    * per-row reads/writes route to the owning shard through the row index;
-    * :meth:`refresh_certain` fans per shard and concatenates the flip lists
-      in shard order, which *is* table order (shards are contiguous);
-    * :meth:`informative_items` concatenates shard snapshots the same way,
-      so downstream tie-breaks (smallest unlabeled id) see the exact
-      sequence an unsharded table would produce;
-    * :meth:`prune_counts_informative` evaluates per-shard partial sums —
-      exact integer sums over a partition of the snapshot — and merges them
-      elementwise, reproducing the unsharded kernel bit for bit;
-    * :meth:`copy` clones each shard copy-on-write, so clones stay O(1) and
-      mutations on either side never leak across.
+def make_type_table(
+    masks: Sequence[int], sizes: Sequence[int], backend: str | None = None
+) -> TypeTable:
+    """A fresh type table on the resolved backend (all labels UNKNOWN).
 
-    How the fan-out executes follows the *ambient* parallel mode at call
-    time (serial loop, thread pool, or process pool with fingerprint-cached
-    shard columns), mirroring how flat tables follow the ambient kernel
-    backend.
+    The numpy table requires every mask to fit the int64 lane and the total
+    tuple count to stay summable in int64; tables that do not fit (universes
+    past 62 atoms) silently use the pure-Python implementation instead.
     """
-
-    __slots__ = ("_masks", "_index", "_shards", "_starts", "_fingerprint")
-
-    def __init__(
-        self,
-        masks: Sequence[int],
-        sizes: Sequence[int],
-        shards: int | None = None,
-        backend: str | None = None,
-    ) -> None:
-        self._masks: tuple[int, ...] = tuple(masks)
-        self._index: dict[int, int] = {mask: i for i, mask in enumerate(self._masks)}
-        sizes = list(sizes)
-        requested = shards if shards is not None else _parallel.shard_count()
-        bounds = _parallel.even_ranges(len(self._masks), max(1, requested))
-        self._starts: tuple[int, ...] = tuple(start for start, _ in bounds)
-        self._shards: tuple[PyTypeTable | NumpyTypeTable, ...] = tuple(
-            _make_flat_type_table(self._masks[start:stop], sizes[start:stop], backend)
-            for start, stop in bounds
-        )
-        self._fingerprint: str | None = None
-
-    # ------------------------------------------------------------------ #
-    # Structure
-    # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return len(self._masks)
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        """The distinct type masks, in table order."""
-        return self._masks
-
-    @property
-    def shards(self) -> tuple[PyTypeTable | NumpyTypeTable, ...]:
-        """The per-shard flat tables, in table order (introspection/tests)."""
-        return self._shards
-
-    @property
-    def fingerprint(self) -> str:
-        """Content digest of the mask column (the worker-side cache key).
-
-        Computed lazily, once; clones share their parent's value because
-        they share the mask column itself.
-        """
-        if self._fingerprint is None:
-            digest = hashlib.sha256()
-            for mask in self._masks:
-                digest.update(str(mask).encode())
-                digest.update(b",")
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
-
-    def _shard_of(self, mask: int) -> PyTypeTable | NumpyTypeTable:
-        row = self._index[mask]
-        return self._shards[bisect_right(self._starts, row) - 1]
-
-    # ------------------------------------------------------------------ #
-    # The TypeTable contract, fanned per shard
-    # ------------------------------------------------------------------ #
-    def certain_of(self, mask: int) -> bool | None:
-        """The memoised certain label of one type (``None`` = informative)."""
-        return self._shard_of(mask).certain_of(mask)
-
-    def unlabeled_of(self, mask: int) -> int:
-        """Number of unlabeled tuples of one type."""
-        return self._shard_of(mask).unlabeled_of(mask)
-
-    def decrement_unlabeled(self, mask: int) -> None:
-        """One tuple of the type was labeled."""
-        self._shard_of(mask).decrement_unlabeled(mask)
-
-    def refresh_certain(
-        self,
-        positive_mask: int,
-        negative_masks: Sequence[int],
-        only_unknown: bool = True,
-    ) -> tuple[list[int], list[int]]:
-        """Per-shard refresh; flip lists concatenated in shard = table order.
-
-        Thread mode fans the per-shard refreshes (the numpy refresh releases
-        the GIL); serial and process modes loop parent-side — the shard
-        columns are parent memory and a process pool cannot mutate them.
-        """
-        shards = self._shards
-        if len(shards) > 1 and _parallel.parallel_mode() == "thread":
-            executor = _parallel.get_executor("thread")
-            results = executor.map(
-                lambda shard: shard.refresh_certain(positive_mask, negative_masks, only_unknown),
-                shards,
-            )
-        else:
-            results = [
-                shard.refresh_certain(positive_mask, negative_masks, only_unknown)
-                for shard in shards
-            ]
-        flipped_positive: list[int] = []
-        flipped_negative: list[int] = []
-        for positive, negative in results:
-            flipped_positive.extend(positive)
-            flipped_negative.extend(negative)
-        return flipped_positive, flipped_negative
-
-    def informative_arrays(self) -> tuple[list[int], list[int]]:
-        """The shard snapshots concatenated in shard = table order, as lists."""
-        masks: list[int] = []
-        counts: list[int] = []
-        for shard in self._shards:
-            shard_masks, shard_counts = shard.informative_arrays()
-            masks += _as_list(shard_masks)
-            counts += _as_list(shard_counts)
-        return masks, counts
-
-    def informative_items(self) -> list[tuple[int, int]]:
-        """``(mask, unlabeled_count)`` of every informative type, table order."""
-        items: list[tuple[int, int]] = []
-        for shard in self._shards:
-            items.extend(shard.informative_items())
-        return items
-
-    def informative_count(self) -> int:
-        """Total unlabeled tuples across informative types."""
-        return sum(shard.informative_count() for shard in self._shards)
-
-    def has_informative(self) -> bool:
-        """Whether any informative tuple remains."""
-        return any(shard.has_informative() for shard in self._shards)
-
-    def copy(self) -> ShardedTypeTable:
-        """An O(1) clone: per-shard copy-on-write, shared mask column."""
-        clone = ShardedTypeTable.__new__(ShardedTypeTable)
-        clone._masks = self._masks
-        clone._index = self._index
-        clone._starts = self._starts
-        clone._shards = tuple(shard.copy() for shard in self._shards)
-        clone._fingerprint = self._fingerprint
-        return clone
-
-    def prune_counts_informative(
-        self,
-        restricted_candidates: Sequence[int],
-        positive_mask: int,
-        negative_masks: Sequence[int],
-        backend: str | None = None,
-        columns: bool = False,
-    ):
-        """The lookahead kernel as a sum of per-shard partial evaluations."""
-        counts = self._merged_prune_counts(
-            list(_as_list(restricted_candidates)), positive_mask, negative_masks, backend
-        )
-        if columns:
-            return [a for a, _ in counts], [b for _, b in counts]
-        return counts
-
-    def _merged_prune_counts(
-        self,
-        candidates: list[int],
-        positive_mask: int,
-        negative_masks: Sequence[int],
-        backend: str | None,
-    ) -> list[tuple[int, int]]:
-        if not candidates:
-            return []
-        shards = self._shards
-        mode = _parallel.parallel_mode() if len(shards) > 1 else "serial"
-        if mode == "process":
-            partials = self._prune_counts_process(
-                candidates, positive_mask, negative_masks, backend
-            )
-        elif mode == "thread":
-            executor = _parallel.get_executor("thread")
-            partials = executor.map(
-                lambda shard: shard.prune_counts_informative(
-                    candidates, positive_mask, negative_masks, backend=backend
-                ),
-                shards,
-            )
-        else:
-            partials = [
-                shard.prune_counts_informative(
-                    candidates, positive_mask, negative_masks, backend=backend
-                )
-                for shard in shards
-            ]
-        return _parallel.merge_partial_counts(partials)
-
-    def _prune_counts_process(
-        self,
-        candidates: list[int],
-        positive_mask: int,
-        negative_masks: Sequence[int],
-        backend: str | None,
-    ) -> list[list[tuple[int, int]]]:
-        """Fan the per-shard partials over the process pool.
-
-        Payloads reference the shard mask columns by fingerprint; a worker
-        that has not seen a shard yet answers ``miss`` and gets exactly one
-        resend with the column included (see
-        :func:`repro.core.parallel.prune_shard_task`).
-        """
-        executor = _parallel.get_executor("process")
-        chosen = backend or default_backend()
-        negatives = tuple(negative_masks)
-        payloads = []
-        starts = self._starts
-        for shard_id, shard in enumerate(self._shards):
-            items = shard.informative_items()
-            local_index = shard._index
-            stop = starts[shard_id + 1] if shard_id + 1 < len(starts) else len(self._masks)
-            payloads.append(
-                {
-                    "fingerprint": self.fingerprint,
-                    "shard": shard_id,
-                    "span": (starts[shard_id], stop),
-                    "info_local": [local_index[mask] for mask, _ in items],
-                    "info_counts": [count for _, count in items],
-                    "candidates": candidates,
-                    "positive_mask": positive_mask,
-                    "negative_masks": negatives,
-                    "backend": chosen,
-                }
-            )
-        results = executor.map(_parallel.prune_shard_task, payloads)
-        partials: list[list[tuple[int, int]] | None] = [None] * len(payloads)
-        retries = []
-        for payload, (status, counts) in zip(payloads, results, strict=True):
-            if status == "ok":
-                partials[payload["shard"]] = [tuple(pair) for pair in counts]
-            else:
-                resend = dict(payload)
-                resend["masks"] = self._shards[payload["shard"]].masks
-                retries.append(resend)
-        if retries:
-            for payload, (status, counts) in zip(
-                retries, executor.map(_parallel.prune_shard_task, retries), strict=True
-            ):
-                if status != "ok":  # pragma: no cover - the resend carries the masks
-                    raise RuntimeError(f"shard {payload['shard']} missed its own mask column")
-                partials[payload["shard"]] = [tuple(pair) for pair in counts]
-        return [partial for partial in partials if partial is not None]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"ShardedTypeTable(types={len(self._masks)}, shards={len(self._shards)}, "
-            f"informative={len(self.informative_items())})"
-        )
-
-
-TypeTable = PyTypeTable | NumpyTypeTable | ShardedTypeTable
-
-
-def _make_flat_type_table(
-    masks: Sequence[int], sizes: Sequence[int], backend: str | None
-) -> PyTypeTable | NumpyTypeTable:
     chosen = backend or default_backend()
     if (
         chosen == "numpy"
@@ -1200,28 +923,3 @@ def _make_flat_type_table(
     ):
         return NumpyTypeTable(masks, sizes)
     return PyTypeTable(masks, sizes)
-
-
-def make_type_table(
-    masks: Sequence[int],
-    sizes: Sequence[int],
-    backend: str | None = None,
-    shards: int | None = None,
-) -> TypeTable:
-    """A fresh type table on the resolved backend (all labels UNKNOWN).
-
-    The numpy table requires every mask to fit the int64 lane and the total
-    tuple count to stay summable in int64; tables that do not fit (universes
-    past 62 atoms) silently use the pure-Python implementation instead.
-
-    When a parallel mode is active (:func:`repro.core.parallel.parallel_mode`)
-    — or ``shards`` is given explicitly — the result is a
-    :class:`ShardedTypeTable` over flat per-shard tables; under the default
-    serial mode the flat table is returned directly, so existing callers see
-    exactly the pre-sharding types and costs.
-    """
-    if shards is not None:
-        return ShardedTypeTable(masks, sizes, shards=shards, backend=backend)
-    if _parallel.parallel_enabled():
-        return ShardedTypeTable(masks, sizes, backend=backend)
-    return _make_flat_type_table(masks, sizes, backend)

@@ -1,162 +1,13 @@
-"""Intra-session data parallelism: the executor layer behind sharded scoring.
+"""The library's one sanctioned pool-creation site.
 
-PR 5's cluster tier parallelizes *across* sessions; this module parallelizes
-*inside* one.  It owns the worker pools that
-:class:`~repro.core.kernels.ShardedTypeTable` fans per-shard kernel calls
-across and that :func:`~repro.relational.columnar.build_combo_histogram`
-distributes the factorized setup histogram over, and it is the **only
-sanctioned pool-creation site** of the library (enforced by analysis rule
-RPR007 — every other layer obtains pools through :func:`get_executor` or
-:func:`create_thread_pool`).
-
-Three execution modes, selected like the kernel backend
-(:func:`~repro.core.kernels.use_backend`):
-
-* ``serial`` — the default.  No pool is ever created; every existing caller
-  and test runs exactly the code it ran before this module existed.
-* ``thread`` — a :class:`~concurrent.futures.ThreadPoolExecutor`.  The fast
-  path when numpy is active: the K×I kernel expressions release the GIL, so
-  shards score concurrently against shared memory with nothing pickled.
-* ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor` for the
-  pure-Python kernels, whose loops hold the GIL.  Shard columns are shipped
-  once and cached worker-side keyed by the table fingerprint (see
-  :func:`prune_shard_task`); subsequent calls send only the per-call state.
-
-Resolution order mirrors ``default_backend``: a :class:`parallel_scope`
-override, then the ``REPRO_PARALLEL`` environment variable, then ``serial``.
-``auto`` resolves to ``thread`` when numpy is importable and ``process``
-otherwise.  ``REPRO_PARALLEL_SHARDS`` / ``parallel_scope(shards=...)`` pin
-the shard count (default: the CPU count).
-
-Pools are lazily started — the first fanned call creates the pool — and
-explicitly shut down via :func:`shutdown_executors` (or
-:meth:`ParallelExecutor.close` / ``with`` on an owned executor).  Pools
-persist across calls and scopes by design: a lookahead step fans hundreds of
-shard calls and pool startup (especially process fork) must not be paid per
-call.
+Analysis rule RPR007 forbids constructing executors anywhere else, so every
+layer that needs a worker pool obtains it through :func:`create_thread_pool`
+and owns (and shuts down) what it gets.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import OrderedDict
-from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any
-
-#: Execution-mode environment variable (``serial`` / ``thread`` / ``process`` / ``auto``).
-_ENV_MODE = "REPRO_PARALLEL"
-#: Shard-count environment variable (positive integer; default = CPU count).
-_ENV_SHARDS = "REPRO_PARALLEL_SHARDS"
-
-MODES = ("serial", "thread", "process", "auto")
-
-_forced_mode: str | None = None
-_forced_shards: int | None = None
-
-
-def _validate_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise ValueError(f"unknown parallel mode {mode!r}; use one of {', '.join(MODES)}")
-    return mode
-
-
-def available_cpus() -> int:
-    """The CPU count the pools size themselves against (at least 1)."""
-    return os.cpu_count() or 1
-
-
-def parallel_mode() -> str:
-    """The resolved execution mode: ``serial``, ``thread`` or ``process``.
-
-    Resolution order: :class:`parallel_scope` override, then the
-    ``REPRO_PARALLEL`` environment variable, then ``serial``.  ``auto``
-    resolves to ``thread`` when numpy is importable (the array kernels
-    release the GIL) and ``process`` otherwise.
-    """
-    mode = _forced_mode
-    if mode is None:
-        env = os.environ.get(_ENV_MODE, "").strip().lower()
-        mode = _validate_mode(env) if env else "serial"
-    if mode == "auto":
-        from .kernels import HAVE_NUMPY
-
-        mode = "thread" if HAVE_NUMPY else "process"
-    return mode
-
-
-def parallel_enabled() -> bool:
-    """Whether fanned execution is on (any mode but ``serial``)."""
-    return parallel_mode() != "serial"
-
-
-def shard_count() -> int:
-    """How many shards new sharded tables partition into.
-
-    Resolution order: :class:`parallel_scope` override, then
-    ``REPRO_PARALLEL_SHARDS``, then the CPU count.  Always at least 1;
-    tables clamp further to their own row count.
-    """
-    shards = _forced_shards
-    if shards is None:
-        env = os.environ.get(_ENV_SHARDS, "").strip()
-        shards = int(env) if env else available_cpus()
-    return max(1, shards)
-
-
-class parallel_scope:
-    """Force the parallel mode (and optionally shard count) in a ``with`` block.
-
-    The counterpart of :class:`~repro.core.kernels.use_backend` for the
-    executor layer::
-
-        with parallel_scope("thread", shards=8):
-            state = InferenceState(table)   # builds a ShardedTypeTable
-
-    Leaving the scope restores the previous mode but does **not** shut the
-    pool down — pools are persistent; call :func:`shutdown_executors` when a
-    process is done fanning work.
-    """
-
-    def __init__(self, mode: str, shards: int | None = None) -> None:
-        self.mode = _validate_mode(mode)
-        self.shards = shards
-        self._previous: tuple[str | None, int | None] | None = None
-
-    def __enter__(self) -> parallel_scope:
-        global _forced_mode, _forced_shards
-        self._previous = (_forced_mode, _forced_shards)
-        _forced_mode = self.mode
-        if self.shards is not None:
-            _forced_shards = max(1, int(self.shards))
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        global _forced_mode, _forced_shards
-        assert self._previous is not None
-        _forced_mode, _forced_shards = self._previous
-
-
-def even_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    """Split ``range(total)`` into contiguous spans whose sizes differ by ≤ 1.
-
-    The shared chunking helper of the sharded table and the factorized
-    histogram: spans are returned in order, cover ``range(total)`` exactly,
-    and the first ``total % parts`` spans carry the extra element — so
-    deliberately *uneven* boundaries exist whenever ``parts ∤ total``.
-    """
-    if total <= 0:
-        return [(0, 0)]
-    parts = max(1, min(parts, total))
-    base, extra = divmod(total, parts)
-    bounds: list[tuple[int, int]] = []
-    start = 0
-    for index in range(parts):
-        stop = start + base + (1 if index < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
+from concurrent.futures import ThreadPoolExecutor
 
 
 def create_thread_pool(
@@ -170,190 +21,3 @@ def create_thread_pool(
     owns the pool and is responsible for shutting it down.
     """
     return ThreadPoolExecutor(max_workers=max_workers, thread_name_prefix=thread_name_prefix)
-
-
-class ParallelExecutor:
-    """One persistent worker pool: lazily started, explicitly shut down.
-
-    The pool is created on the first :meth:`map` call, not in ``__init__``,
-    so merely resolving an executor (or entering a :class:`parallel_scope`)
-    never forks processes or spawns threads.  ``close()`` (or ``with``)
-    releases the workers; a closed executor refuses further work.
-    """
-
-    def __init__(self, mode: str, max_workers: int | None = None) -> None:
-        if mode not in ("thread", "process"):
-            raise ValueError(f"ParallelExecutor runs 'thread' or 'process' pools, not {mode!r}")
-        self.mode = mode
-        self.max_workers = max_workers if max_workers is not None else available_cpus()
-        self._lock = threading.Lock()
-        self._pool: Executor | None = None
-        self._closed = False
-
-    def _ensure_pool(self) -> Executor:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("ParallelExecutor is closed")
-            if self._pool is None:
-                if self.mode == "thread":
-                    self._pool = create_thread_pool(
-                        max_workers=self.max_workers, thread_name_prefix="repro-shard"
-                    )
-                else:
-                    self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
-            return self._pool
-
-    @property
-    def started(self) -> bool:
-        """Whether the underlying pool has been created yet."""
-        with self._lock:
-            return self._pool is not None
-
-    def map(self, task: Callable[[Any], Any], payloads: Iterable[Any]) -> list[Any]:
-        """Run ``task`` over ``payloads`` on the pool; results in input order.
-
-        In process mode ``task`` must be a module-level (picklable) function;
-        in thread mode closures are fine.
-        """
-        items = list(payloads)
-        if not items:
-            return []
-        if len(items) == 1:
-            # One payload cannot fan out; skip the pool round-trip (and, on a
-            # cold executor, pool startup).
-            return [task(items[0])]
-        pool = self._ensure_pool()
-        return list(pool.map(task, items))
-
-    def close(self) -> None:
-        """Shut the pool down and refuse further work (idempotent)."""
-        with self._lock:
-            pool = self._pool
-            self._pool = None
-            self._closed = True
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> ParallelExecutor:
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        state = "closed" if self._closed else ("started" if self.started else "cold")
-        return f"ParallelExecutor(mode={self.mode!r}, max_workers={self.max_workers}, {state})"
-
-
-_registry_lock = threading.Lock()
-_executors: dict[str, ParallelExecutor] = {}
-
-
-def get_executor(mode: str | None = None) -> ParallelExecutor:
-    """The shared executor for a mode (created cold on first request).
-
-    One executor per mode per process; the pool inside it starts on first
-    use and survives until :func:`shutdown_executors`.  ``mode`` defaults to
-    the resolved :func:`parallel_mode` and must not be ``serial``.
-    """
-    resolved = mode if mode is not None else parallel_mode()
-    if resolved == "auto":
-        from .kernels import HAVE_NUMPY
-
-        resolved = "thread" if HAVE_NUMPY else "process"
-    if resolved == "serial":
-        raise ValueError("serial execution needs no executor; check parallel_enabled() first")
-    with _registry_lock:
-        executor = _executors.get(resolved)
-        if executor is None:
-            executor = ParallelExecutor(resolved)
-            _executors[resolved] = executor
-        return executor
-
-
-def shutdown_executors() -> None:
-    """Close every shared executor (idempotent; fresh ones start cold again)."""
-    with _registry_lock:
-        executors = list(_executors.values())
-        _executors.clear()
-    for executor in executors:
-        executor.close()
-
-
-# --------------------------------------------------------------------- #
-# Worker-side tasks (top-level so process pools can pickle them)
-# --------------------------------------------------------------------- #
-#: Per-worker-process cache of shard mask columns, keyed by
-#: ``(table fingerprint, shard row span)``.  The span — not the shard index —
-#: identifies the column: the same table sharded two different ways shares a
-#: fingerprint but cuts different columns.  Masks are immutable, so the
-#: parent ships them once per (table, span, worker) and every later call
-#: sends only the per-call state; an LRU cap keeps long-lived workers
-#: bounded.
-_WORKER_CACHE_LIMIT = 64
-_worker_mask_cache: OrderedDict[tuple[str, tuple[int, int]], tuple[int, ...]] = OrderedDict()
-
-
-def prune_shard_task(payload: dict[str, Any]) -> tuple[str, list[tuple[int, int]] | None]:
-    """Score one shard's informative snapshot against the candidate batch.
-
-    The payload carries the shard's informative rows as *local indices* into
-    the shard's mask column plus their unlabeled counts, the restricted
-    candidates and the space ``(M, N)``.  The mask column itself travels only
-    when ``payload["masks"]`` is set: on a cache miss the worker answers
-    ``("miss", None)`` and the parent resends with the masks included —
-    misses are bounded by workers × shards per table, not by call count.
-    """
-    key = (payload["fingerprint"], tuple(payload["span"]))
-    masks = payload.get("masks")
-    if masks is None:
-        masks = _worker_mask_cache.get(key)
-        if masks is None:
-            return ("miss", None)
-        _worker_mask_cache.move_to_end(key)
-    else:
-        masks = tuple(masks)
-        _worker_mask_cache[key] = masks
-        _worker_mask_cache.move_to_end(key)
-        while len(_worker_mask_cache) > _WORKER_CACHE_LIMIT:
-            _worker_mask_cache.popitem(last=False)
-    from .kernels import prune_counts_batch
-
-    info_masks = [masks[i] for i in payload["info_local"]]
-    counts = prune_counts_batch(
-        info_masks,
-        payload["info_counts"],
-        payload["candidates"],
-        payload["positive_mask"],
-        payload["negative_masks"],
-        backend=payload["backend"],
-    )
-    return ("ok", counts)
-
-
-def worker_cache_info() -> tuple[int, tuple[tuple[str, int], ...]]:
-    """Size and keys of this process's shard-mask cache (tests/introspection)."""
-    return len(_worker_mask_cache), tuple(_worker_mask_cache)
-
-
-def merge_partial_counts(
-    partials: Sequence[Sequence[tuple[int, int]]],
-) -> list[tuple[int, int]]:
-    """Elementwise sum of per-shard ``(if_positive, if_negative)`` partials.
-
-    Prune counts are exact integer sums over the informative snapshot, and
-    the snapshot is partitioned by the shards — so summing the per-shard
-    partial sums reproduces the unsharded kernel's output bit for bit,
-    regardless of shard boundaries or completion order.
-    """
-    if not partials:
-        return []
-    if len(partials) == 1:
-        return list(partials[0])
-    totals = [[positive, negative] for positive, negative in partials[0]]
-    for partial in partials[1:]:
-        for index, (positive, negative) in enumerate(partial):
-            row = totals[index]
-            row[0] += positive
-            row[1] += negative
-    return [(positive, negative) for positive, negative in totals]

@@ -230,11 +230,9 @@ class InferenceState:
         positive label shrinks ``M`` to ``M ∩ E(t)``, a negative label adds
         ``E(t)`` to the negative types, and every subset test happens under
         ``M``.  All candidates are scored against one shared informative
-        snapshot, held and (when the table is sharded) fanned by the status
-        cache's type table — the strategies built on this method parallelize
-        without any per-strategy changes.  Returns one ``(a, b)`` pair per
-        candidate, or with ``columns`` the two count columns that
-        :func:`~repro.core.kernels.score_levels` ranks.
+        snapshot, held by the status cache's type table.  Returns one
+        ``(a, b)`` pair per candidate, or with ``columns`` the two count
+        columns that :func:`~repro.core.kernels.score_levels` ranks.
         """
         return self._cache.prune_counts_for_restricted(
             restricted_masks,

@@ -44,7 +44,7 @@ from ..exceptions import ReproError
 
 
 class ProtocolError(ReproError):
-    """A wire payload does not encode a valid protocol event."""
+    """A wire payload does not encode a valid protocol event or table."""
 
 
 class InteractionMode(enum.Enum):

@@ -91,13 +91,26 @@ def _cell_to_wire(value: object) -> object:
     )
 
 
+#: Tagged cell forms :func:`_cell_to_wire` emits, by tag.
+_DATE_TAGS = {
+    "$datetime": datetime.datetime.fromisoformat,
+    "$date": datetime.date.fromisoformat,
+}
+
+
 def _cell_from_wire(value: object) -> object:
-    if isinstance(value, dict):
-        if "$datetime" in value:
-            return datetime.datetime.fromisoformat(value["$datetime"])
-        if "$date" in value:
-            return datetime.date.fromisoformat(value["$date"])
-    return value
+    """One wire cell back as a value: a JSON scalar or a tagged date."""
+    if isinstance(value, _JSON_SCALARS):
+        return value
+    if isinstance(value, dict) and len(value) == 1:
+        ((tag, text),) = value.items()
+        parse = _DATE_TAGS.get(tag)
+        if parse is not None and isinstance(text, str):
+            try:
+                return parse(text)
+            except ValueError:
+                pass
+    raise ProtocolError(f"table cell {value!r} is neither a JSON scalar nor a tagged date")
 
 
 def table_to_wire(table: CandidateTable) -> dict[str, object]:
@@ -122,18 +135,42 @@ def table_to_wire(table: CandidateTable) -> dict[str, object]:
     }
 
 
-def table_from_wire(payload: dict[str, object]) -> CandidateTable:
-    """Rebuild a candidate table from its :func:`table_to_wire` form."""
-    attributes = [
-        CandidateAttribute(
-            name=spec["name"],
-            data_type=DataType(spec["data_type"]),
-            source_relation=spec.get("source_relation"),
+def _attribute_from_wire(spec: object) -> CandidateAttribute:
+    if not isinstance(spec, dict):
+        raise ProtocolError(f"table attribute {spec!r} is not a JSON object")
+    name = spec.get("name")
+    source = spec.get("source_relation")
+    if not isinstance(name, str) or not (source is None or isinstance(source, str)):
+        raise ProtocolError(f"table attribute {spec!r} needs a string name and source")
+    try:
+        data_type = DataType(spec.get("data_type"))
+    except ValueError:
+        raise ProtocolError(f"unknown data type in table attribute {spec!r}") from None
+    return CandidateAttribute(name=name, data_type=data_type, source_relation=source)
+
+
+def table_from_wire(payload: object) -> CandidateTable:
+    """Rebuild a candidate table from its :func:`table_to_wire` form.
+
+    Raises :class:`ProtocolError` for a payload that is not that form, and
+    :class:`~repro.exceptions.CandidateTableError` for one that is but names
+    no valid table (no attributes, duplicate names, a row of the wrong
+    arity).
+    """
+    if not isinstance(payload, dict):
+        raise ProtocolError("a wire table must be a JSON object")
+    name, attributes, rows = (payload.get(key) for key in ("name", "attributes", "rows"))
+    if not (isinstance(name, str) and isinstance(attributes, list) and isinstance(rows, list)):
+        raise ProtocolError(
+            "a wire table needs a string 'name' and list 'attributes' and 'rows'"
         )
-        for spec in payload["attributes"]
-    ]
-    rows = [[_cell_from_wire(value) for value in row] for row in payload["rows"]]
-    return CandidateTable(attributes, rows, name=payload["name"])
+    if not all(isinstance(row, list) for row in rows):
+        raise ProtocolError("every row of a wire table must be a JSON list")
+    return CandidateTable(
+        [_attribute_from_wire(spec) for spec in attributes],
+        [[_cell_from_wire(value) for value in row] for row in rows],
+        name=name,
+    )
 
 
 #: Exception types a worker may raise that the parent re-raises as-is.
@@ -193,60 +230,78 @@ def error_reply(exc: BaseException) -> dict[str, object]:
 # --------------------------------------------------------------------------- #
 # The worker-side command dispatcher
 # --------------------------------------------------------------------------- #
+def _field(request: dict[str, object], key: str) -> object:
+    """A field the command needs; its absence makes the command malformed."""
+    try:
+        return request[key]
+    except KeyError:
+        raise ProtocolError(
+            f"cluster command {request.get('cmd')!r} lacks the field {key!r}"
+        ) from None
+
+
 def execute_command(service: SessionService, request: dict[str, object]) -> object:
-    """Apply one wire command to the worker's service; the JSON-able result."""
-    command = request["cmd"]
+    """Apply one wire command to the worker's service; the JSON-able result.
+
+    A request that is not a JSON object, or lacks a field its command needs,
+    raises :class:`ProtocolError`.
+    """
+    if not isinstance(request, dict):
+        raise ProtocolError("a cluster command must be a JSON object")
+    command = _field(request, "cmd")
     if command == "ping":
         return {"pid": os.getpid()}
     if command == "register_table":
-        return service.register_table(table_from_wire(request["table"]))
+        return service.register_table(table_from_wire(_field(request, "table")))
     if command == "create":
         # A table the worker has not seen yet arrives inline; the service's
         # atomic create registers it together with the session, or not at all.
         table: CandidateTable | str = (
-            table_from_wire(request["table"])
+            table_from_wire(_field(request, "table"))
             if "table" in request
-            else request["fingerprint"]
+            else _field(request, "fingerprint")
         )
         return service.create(
             table,
-            mode=request["mode"],
+            mode=_field(request, "mode"),
             strategy=request.get("strategy"),
             k=request.get("k"),
             strict=request.get("strict", True),
-            session_id=request["session_id"],
+            session_id=_field(request, "session_id"),
         ).as_dict()
     if command == "resume":
         table = (
-            table_from_wire(request["table"])
+            table_from_wire(_field(request, "table"))
             if "table" in request
-            else request["fingerprint"]
+            else _field(request, "fingerprint")
         )
         return service.resume(
-            request["document"],
+            _field(request, "document"),
             table=table,
-            session_id=request["session_id"],
+            session_id=_field(request, "session_id"),
         ).as_dict()
     if command == "describe":
-        return service.describe(request["session_id"]).as_dict()
+        return service.describe(_field(request, "session_id")).as_dict()
     if command == "close":
-        return service.close(request["session_id"]).as_dict()
+        return service.close(_field(request, "session_id")).as_dict()
     if command == "next_question":
-        return event_to_wire(service.next_question(request["session_id"]))
+        return event_to_wire(service.next_question(_field(request, "session_id")))
     if command == "answer":
         return event_to_wire(
             service.answer(
-                request["session_id"], request["label"], tuple_id=request.get("tuple_id")
+                _field(request, "session_id"),
+                _field(request, "label"),
+                tuple_id=request.get("tuple_id"),
             )
         )
     if command == "answer_many":
         applied = service.answer_many(
-            request["session_id"],
-            [(int(tuple_id), label) for tuple_id, label in request["answers"]],
+            _field(request, "session_id"),
+            [(int(tuple_id), label) for tuple_id, label in _field(request, "answers")],
         )
         return [event_to_wire(event) for event in applied]
     if command == "save":
-        return service.save(request["session_id"])
+        return service.save(_field(request, "session_id"))
     if command == "session_ids":
         return service.session_ids()
     raise ClusterServiceError(f"unknown cluster command {command!r}")

@@ -1,122 +1,91 @@
-"""Tests for the executor layer: mode resolution, pool lifecycle, worker tasks."""
+"""Tests for ``repro.core.parallel``: the pool factory and the serial session.
+
+A session computes serially, in the caller's thread: the setup histogram, the
+informative-type scoring and the propagation id lookups each have one
+implementation, and no option or environment variable fans them out.  The
+only pools the library makes come from :func:`create_thread_pool`, and the
+caller owns each one.
+"""
 
 from __future__ import annotations
 
+import multiprocessing.process
+import os
+import threading
+
 import pytest
 
-from repro.core import parallel
-from repro.core.kernels import HAVE_NUMPY
+from repro.core.parallel import create_thread_pool
+from repro.datasets import synthetic
+from repro.service.protocol import Converged
+from repro.service.service import SessionService
 
 
-@pytest.fixture(autouse=True)
-def _clean_executors():
-    yield
-    parallel.shutdown_executors()
+def _forbid(name):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError(f"a session called {name}")
+
+    return refuse
 
 
 class TestModeResolution:
+    """There is one mode: serial."""
+
     def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        assert parallel.parallel_mode() == "serial"
-        assert not parallel.parallel_enabled()
+        config = synthetic.SyntheticConfig(
+            tuples_per_relation=40, num_relations=2, domain_size=5, seed=3
+        )
+        table = synthetic.generate_candidate_table(config)
+        goal = synthetic.random_goal_query(table, num_atoms=2, seed=3)
+        monkeypatch.setattr(threading.Thread, "start", _forbid("Thread.start"))
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", _forbid("Process.start")
+        )
+        monkeypatch.setattr(os, "fork", _forbid("os.fork"))
 
-    def test_environment_variable_selects_the_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "thread")
-        assert parallel.parallel_mode() == "thread"
-        assert parallel.parallel_enabled()
-
-    def test_invalid_environment_mode_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "gpu")
-        with pytest.raises(ValueError, match="unknown parallel mode"):
-            parallel.parallel_mode()
-
-    def test_scope_overrides_environment_and_restores(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "thread")
-        with parallel.parallel_scope("process"):
-            assert parallel.parallel_mode() == "process"
-            with parallel.parallel_scope("serial"):
-                assert parallel.parallel_mode() == "serial"
-            assert parallel.parallel_mode() == "process"
-        assert parallel.parallel_mode() == "thread"
-
-    def test_scope_rejects_unknown_modes(self):
-        with pytest.raises(ValueError, match="unknown parallel mode"):
-            parallel.parallel_scope("fibers")
-
-    def test_auto_resolves_by_numpy_availability(self):
-        with parallel.parallel_scope("auto"):
-            assert parallel.parallel_mode() == ("thread" if HAVE_NUMPY else "process")
-
-    def test_shard_count_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_SHARDS", raising=False)
-        assert parallel.shard_count() == parallel.available_cpus()
-        monkeypatch.setenv("REPRO_PARALLEL_SHARDS", "6")
-        assert parallel.shard_count() == 6
-        with parallel.parallel_scope("serial", shards=3):
-            assert parallel.shard_count() == 3
-        assert parallel.shard_count() == 6
+        service = SessionService()
+        session_id = service.create(
+            table, mode="guided", strategy="lookahead-entropy"
+        ).session_id
+        for _ in range(len(table)):
+            event = service.next_question(session_id)
+            if isinstance(event, Converged):
+                break
+            label = "yes" if goal.selects(table, event.tuple_id) else "no"
+            service.answer(session_id, label)
+        assert isinstance(event, Converged)
+        assert not table.is_materialized()
 
 
 class TestParallelExecutor:
-    def test_pool_starts_lazily_and_single_payloads_skip_it(self):
-        with parallel.ParallelExecutor("thread", max_workers=2) as executor:
-            assert not executor.started
-            assert executor.map(lambda x: x + 1, []) == []
-            assert executor.map(lambda x: x + 1, [41]) == [42]
-            assert not executor.started  # one payload cannot fan out
-            assert executor.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-            assert executor.started
-
     def test_closed_executor_refuses_work(self):
-        executor = parallel.ParallelExecutor("thread", max_workers=2)
-        executor.close()
-        executor.close()  # idempotent
-        with pytest.raises(RuntimeError, match="closed"):
-            executor.map(lambda x: x, [1, 2])
+        pool = create_thread_pool(max_workers=2)
+        assert pool.submit(sum, (1, 2)).result(timeout=10) == 3
+        pool.shutdown()
+        pool.shutdown()  # idempotent
+        with pytest.raises(RuntimeError, match="shutdown"):
+            pool.submit(sum, (1, 2))
 
-    def test_rejects_serial_mode(self):
-        with pytest.raises(ValueError, match="'thread' or 'process'"):
-            parallel.ParallelExecutor("serial")
+    def test_pool_threads_carry_the_name_prefix(self):
+        pool = create_thread_pool(max_workers=1, thread_name_prefix="repro-test")
+        try:
+            names = {
+                pool.submit(lambda: threading.current_thread().name).result(timeout=10)
+                for _ in range(3)
+            }
+        finally:
+            pool.shutdown()
+        # One worker serves every task, and it is named after the prefix.
+        assert len(names) == 1
+        assert names.pop().startswith("repro-test")
 
-    def test_get_executor_is_shared_per_mode_and_rejects_serial(self):
-        first = parallel.get_executor("thread")
-        assert parallel.get_executor("thread") is first
-        with pytest.raises(ValueError, match="serial"):
-            parallel.get_executor("serial")
-        parallel.shutdown_executors()
-        assert parallel.get_executor("thread") is not first
-
-
-class TestWorkerTask:
-    def _payload(self, **overrides):
-        payload = {
-            "fingerprint": "f" * 12,
-            "shard": 0,
-            "span": (0, 2),
-            "info_local": [0, 1],
-            "info_counts": [3, 5],
-            "candidates": [0b01, 0b11],
-            "positive_mask": 0b11,
-            "negative_masks": (),
-            "backend": "python",
-        }
-        payload.update(overrides)
-        return payload
-
-    def test_cache_miss_then_resend_with_masks(self):
-        payload = self._payload(fingerprint="never-shipped")
-        assert parallel.prune_shard_task(payload) == ("miss", None)
-        status, counts = parallel.prune_shard_task(self._payload(
-            fingerprint="never-shipped", masks=(0b01, 0b11)
-        ))
-        assert status == "ok"
-        # Cached now: the same call without the column succeeds.
-        status_again, counts_again = parallel.prune_shard_task(payload)
-        assert status_again == "ok" and counts_again == counts
-
-    def test_merge_partial_counts_sums_elementwise(self):
-        assert parallel.merge_partial_counts([]) == []
-        assert parallel.merge_partial_counts([[(1, 2), (3, 4)]]) == [(1, 2), (3, 4)]
-        assert parallel.merge_partial_counts(
-            [[(1, 2), (3, 4)], [(10, 20), (30, 40)]]
-        ) == [(11, 22), (33, 44)]
+    def test_each_call_returns_a_pool_its_caller_owns(self):
+        first = create_thread_pool(max_workers=1)
+        second = create_thread_pool(max_workers=1)
+        assert first is not second
+        first.shutdown()
+        try:
+            # Shutting one caller's pool down leaves the other's working.
+            assert second.submit(len, "abc").result(timeout=10) == 3
+        finally:
+            second.shutdown()

@@ -16,8 +16,11 @@ the whole hot loop, so they get their own equivalence suite:
 * candidates carrying bits outside ``M`` must score as their restriction to
   ``M`` on every path;
 * the two :class:`TypeTable` implementations must stay observationally
-  identical through arbitrary refresh/decrement/copy sequences, and their
-  copy-on-write clones must be isolated from their parents;
+  identical through arbitrary refresh/decrement/copy sequences, their
+  copy-on-write clones must be isolated from their parents, and a table's
+  flips, informative snapshot and lookahead scores must match the scalar
+  reference (a numpy request over masks past bit 62 builds the pure-Python
+  table);
 * a full :class:`InferenceState` driven through randomised label sequences —
   over tables with ``None``/NaN cells and over sampled cross products — must
   produce identical statuses, prune counts and propagation results on the
@@ -605,6 +608,62 @@ class TestTypeTableEquivalence:
         snapshot = _table_observables(clone, masks)
         table.decrement_unlabeled(data.draw(st.sampled_from(masks)))
         assert _table_observables(clone, masks) == snapshot
+
+    @SETTINGS
+    @given(
+        inputs=kernel_inputs(),
+        candidate_types=st.lists(NARROW_MASKS, min_size=0, max_size=8),
+        backend=st.sampled_from(available_backends()),
+    )
+    def test_prune_counts_informative_matches_reference(
+        self, inputs, candidate_types, backend
+    ):
+        masks, sizes, positive_mask, negative_masks = inputs
+        _assert_table_scores_like_reference(
+            make_type_table(masks, sizes, backend=backend),
+            masks, sizes, positive_mask, negative_masks, candidate_types,
+        )
+
+    @SETTINGS
+    @given(
+        inputs=kernel_inputs(mask_strategy=st.integers(1 << 63, (1 << 70) - 1)).filter(
+            lambda inputs: inputs[0]
+        ),
+        candidate_types=st.lists(WIDE_MASKS, min_size=0, max_size=6),
+    )
+    def test_wide_masks_fall_back_to_pure_python_table(self, inputs, candidate_types):
+        # Masks past bit 62 cannot ride the int64 lane: a numpy request must
+        # build the pure-Python table, with the same answers.
+        masks, sizes, positive_mask, negative_masks = inputs
+        table = make_type_table(masks, sizes, backend="numpy")
+        assert type(table).__name__ == "PyTypeTable"
+        _assert_table_scores_like_reference(
+            table, masks, sizes, positive_mask, negative_masks, candidate_types
+        )
+
+
+def _assert_table_scores_like_reference(
+    table, masks, sizes, positive_mask, negative_masks, candidate_types
+):
+    """A fresh table refreshed against ``(M, N)``: its flips, informative
+    snapshot and lookahead scores all match the scalar reference."""
+    codes = [_reference_code(mask, positive_mask, negative_masks) for mask in masks]
+    flips = table.refresh_certain(positive_mask, negative_masks)
+    assert flips == (
+        [mask for mask, code in zip(masks, codes, strict=True) if code == CERTAIN_POSITIVE],
+        [mask for mask, code in zip(masks, codes, strict=True) if code == CERTAIN_NEGATIVE],
+    )
+    snapshot = [
+        (mask, size)
+        for mask, size, code in zip(masks, sizes, codes, strict=True)
+        if code == UNKNOWN and size > 0
+    ]
+    assert table.informative_items() == snapshot
+    restricted = [candidate & positive_mask for candidate in candidate_types]
+    assert table.prune_counts_informative(restricted, positive_mask, negative_masks) == [
+        _reference_prune_counts(snapshot, candidate, positive_mask, negative_masks)
+        for candidate in candidate_types
+    ]
 
 
 # --------------------------------------------------------------------------- #

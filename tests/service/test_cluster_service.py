@@ -24,7 +24,9 @@ from repro.service.cluster import (
     table_from_wire,
     table_to_wire,
 )
+from repro.service.protocol import ProtocolError
 from repro.service.service import SessionServiceError
+from repro.service.wire import error_reply, execute_command, rebuild_error
 from repro.sessions.persistence import table_fingerprint
 
 
@@ -98,6 +100,82 @@ class TestTableWire:
         table = CandidateTable([CandidateAttribute("a")], [(object(),)], name="bad")
         with pytest.raises(ClusterServiceError, match="JSON-representable"):
             table_to_wire(table)
+
+
+#: Per command, a field it needs: dropping it makes the command malformed.
+_REQUIRED_FIELDS = [
+    ("register_table", "table"),
+    ("create", "fingerprint"),
+    ("create", "mode"),
+    ("create", "session_id"),
+    ("resume", "fingerprint"),
+    ("resume", "document"),
+    ("resume", "session_id"),
+    ("describe", "session_id"),
+    ("close", "session_id"),
+    ("next_question", "session_id"),
+    ("answer", "session_id"),
+    ("answer", "label"),
+    ("answer_many", "session_id"),
+    ("answer_many", "answers"),
+    ("save", "session_id"),
+]
+
+
+class TestWorkerCommands:
+    """The worker-side dispatcher, called directly on an in-memory service."""
+
+    @staticmethod
+    def _requests(service: SessionService) -> dict[str, dict]:
+        table = tiny_table()
+        fingerprint = service.register_table(table)
+        session_id = service.create(fingerprint, session_id="ab12").session_id
+        return {
+            "register_table": {"cmd": "register_table", "table": table_to_wire(table)},
+            "create": {
+                "cmd": "create", "fingerprint": fingerprint, "mode": "guided",
+                "session_id": "cd34",
+            },
+            "resume": {
+                "cmd": "resume", "fingerprint": fingerprint,
+                "document": service.save(session_id), "session_id": "ef56",
+            },
+            "describe": {"cmd": "describe", "session_id": session_id},
+            "close": {"cmd": "close", "session_id": session_id},
+            "next_question": {"cmd": "next_question", "session_id": session_id},
+            "answer": {"cmd": "answer", "session_id": session_id, "label": "yes"},
+            "answer_many": {
+                "cmd": "answer_many", "session_id": session_id, "answers": [[0, "yes"]],
+            },
+            "save": {"cmd": "save", "session_id": session_id},
+        }
+
+    def test_well_formed_commands_run(self):
+        service = SessionService()
+        requests = self._requests(service)
+        for command in ("create", "resume", "describe", "save"):
+            execute_command(service, requests[command])
+        assert set(service.session_ids()) == {"ab12", "cd34", "ef56"}
+
+    @pytest.mark.parametrize(("command", "field"), _REQUIRED_FIELDS)
+    def test_missing_field_is_a_protocol_error(self, command, field):
+        service = SessionService()
+        request = dict(self._requests(service)[command])
+        del request[field]
+        with pytest.raises(ProtocolError, match=f"lacks the field '{field}'"):
+            execute_command(service, request)
+
+    @pytest.mark.parametrize("request_", [{}, {"session_id": "ab12"}, [], "ping", None])
+    def test_request_without_a_command_is_a_protocol_error(self, request_):
+        with pytest.raises(ProtocolError):
+            execute_command(SessionService(), request_)
+
+    def test_protocol_error_crosses_the_wire_as_itself(self):
+        with pytest.raises(ProtocolError) as caught:
+            execute_command(SessionService(), {"cmd": "describe"})
+        rebuilt = rebuild_error(error_reply(caught.value))
+        assert type(rebuilt) is ProtocolError
+        assert str(rebuilt) == str(caught.value)
 
 
 class TestLifecycle:
