@@ -153,6 +153,20 @@ class AtomUniverse:
             atoms.append(EqualityAtom.of(left.name, right.name))
         return cls(table, atoms)
 
+    @classmethod
+    def shared(
+        cls, table: CandidateTable, scope: AtomScope = AtomScope.CROSS_RELATION
+    ) -> AtomUniverse:
+        """The default universe of ``scope`` over ``table``, built once per table.
+
+        :meth:`from_table` with default filters, memoised on the table (see
+        :meth:`~repro.relational.candidate.CandidateTable.derived`), so the
+        sessions over one table share one universe object — and, through
+        :meth:`~repro.core.equality_types.EqualityTypeIndex.shared`, one
+        equality-type index.
+        """
+        return table.derived((cls, scope), lambda: cls.from_table(table, scope=scope))
+
     # ------------------------------------------------------------------ #
     # Bitmask encoding
     # ------------------------------------------------------------------ #

@@ -119,7 +119,30 @@ class _FactorizedTypes:
 
 
 class EqualityTypeIndex:
-    """Per-tuple equality types (bitmasks) for one candidate table + universe."""
+    """Per-tuple equality types (bitmasks) for one candidate table + universe.
+
+    ``E(t)`` depends on the instance alone, never on labels, so one index
+    serves every session over the same table and atom set:
+    :meth:`shared` returns that per-table index, while the constructor
+    always builds a new one.  After construction the index is read-only
+    apart from two lazy memos (the per-type id lists behind
+    :meth:`tuples_with_mask` and the per-tuple :attr:`masks`), whose fills
+    are idempotent — threads racing on one may compute it twice and keep
+    either result — so a shared index needs no lock.  Those memos live as
+    long as the index; they are bounded by the table size.
+    """
+
+    @classmethod
+    def shared(cls, universe: AtomUniverse) -> EqualityTypeIndex:
+        """The index of ``universe``'s table and atom set, built once per table.
+
+        Memoised on the table (see
+        :meth:`~repro.relational.candidate.CandidateTable.derived`) under
+        ``universe.atoms``, so every universe with the same atoms gets the
+        same index, whose :attr:`universe` is the first of them.  The memo
+        dies with the table.
+        """
+        return universe.table.derived((cls, universe.atoms), lambda: cls(universe))
 
     def __init__(self, universe: AtomUniverse) -> None:
         self.universe = universe

@@ -51,7 +51,18 @@ from .space import ConsistentQuerySpace
 
 
 class InferenceState:
-    """All the information JIM maintains during one inference session."""
+    """All the information JIM maintains during one inference session.
+
+    The table-level structures are shared: without an explicit
+    ``universe`` the state takes the table's default universe of ``scope``
+    (:meth:`~repro.core.atoms.AtomUniverse.shared`), and its
+    :attr:`type_index` is the table's index for that atom set
+    (:meth:`~repro.core.equality_types.EqualityTypeIndex.shared`), built by
+    the first state over the table and reused by every later one.
+    :attr:`universe` is the index's universe, so a state, its space and
+    every other state over the same atoms hold one universe object.  Only
+    the examples, the consistent space and the status cache are per state.
+    """
 
     def __init__(
         self,
@@ -62,8 +73,10 @@ class InferenceState:
         strict: bool = True,
     ) -> None:
         self.table = table
-        self.universe = universe if universe is not None else AtomUniverse.from_table(table, scope=scope)
-        self.type_index = EqualityTypeIndex(self.universe)
+        if universe is None:
+            universe = AtomUniverse.shared(table, scope=scope)
+        self.type_index = EqualityTypeIndex.shared(universe)
+        self.universe = self.type_index.universe
         self.examples = examples.copy() if examples is not None else ExampleSet()
         self.strict = strict
         self.space = ConsistentQuerySpace(self.type_index, self.examples)

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import TypeVar
 
 from ..exceptions import CandidateTableError, UnknownAttributeError
 from .columnar import FactorGrouping, ProductFactorization, ValueCodec, group_product
@@ -35,6 +36,7 @@ from .relation import Relation
 from .types import DataType, infer_row_types
 
 Row = tuple
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class CandidateTable:
             raise CandidateTableError("candidate attribute names must be unique")
         self._index = {attr.name: pos for pos, attr in enumerate(self.attributes)}
         self._fingerprint: str | None = None
-        self._groupings: dict[tuple[int, ...], FactorGrouping] = {}
+        self._derived: dict[Hashable, object] = {}
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -310,25 +312,39 @@ class CandidateTable:
         rows = self._rows
         return [codec.encode([row[position] for row in rows]) for position in positions]
 
+    def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """A structure derived from the table's content, built once per ``key``.
+
+        Tables are immutable, so anything computed from their content alone
+        (a column grouping, a type histogram) can live as long as the table
+        does; layers above store such structures here under a key of their
+        own choosing.  ``build`` runs on the first call for ``key``; a build
+        that raises caches nothing.  Two threads racing on a cold key may
+        both build, and both get the value stored first.
+        """
+        derived = self._derived
+        if key not in derived:
+            derived.setdefault(key, build())
+        return derived[key]  # type: ignore[return-value]
+
     def factor_grouping(self, columns: Sequence[int]) -> FactorGrouping:
         """Cached :func:`~repro.relational.columnar.group_product` over this table.
 
         Only meaningful on factorized tables.  The grouping of a column
-        subset is immutable, so it is memoised per subset — the equality-type
-        index and repeated query evaluations (e.g. drawing goal queries)
-        share one encoding pass instead of re-interning the base relations
-        per call.  Raises
+        subset is immutable, so it is memoised per subset (see
+        :meth:`derived`) — the equality-type index and repeated query
+        evaluations (e.g. drawing goal queries) share one encoding pass
+        instead of re-interning the base relations per call.  Raises
         :class:`~repro.relational.columnar.UnencodableValue` on unhashable
         cells (failures are not cached).
         """
-        if self._factorization is None:
+        factorization = self._factorization
+        if factorization is None:
             raise CandidateTableError("factor_grouping needs a factorized table")
         key = tuple(columns)
-        grouping = self._groupings.get(key)
-        if grouping is None:
-            grouping = group_product(self._factorization, key)
-            self._groupings[key] = grouping
-        return grouping
+        return self.derived(
+            (FactorGrouping, key), lambda: group_product(factorization, key)
+        )
 
     def fingerprint(self) -> str:
         """A stable content fingerprint (attributes + rows), memoised.

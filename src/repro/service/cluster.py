@@ -84,7 +84,7 @@ from ..core.strategies.base import Strategy
 from ..core.strategies.registry import create_strategy
 from ..exceptions import ReproError
 from ..relational.candidate import CandidateTable
-from ..sessions.persistence import table_fingerprint
+from ..sessions.persistence import require_document, table_fingerprint
 from .protocol import (
     Event,
     InteractionMode,
@@ -834,7 +834,7 @@ class ClusterSessionService:
         cluster.
         """
         if table is None:
-            fingerprint = payload.get("table_fingerprint")
+            fingerprint = require_document(payload).get("table_fingerprint")
             if not isinstance(fingerprint, str):
                 raise SessionServiceError(
                     "the session document carries no table fingerprint; pass the table explicitly"

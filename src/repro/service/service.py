@@ -136,6 +136,12 @@ class SessionService:
         Registering the same table (by content) twice keeps the first
         instance.  Never raises for a valid table; the fingerprint hashing
         cost is paid once per table instance (memoised).
+
+        Registration stays cheap: the table's equality-type index is not
+        built here but by the first session created or resumed over it,
+        and then shared by every later session over the same instance (see
+        :meth:`~repro.core.equality_types.EqualityTypeIndex.shared`).  It
+        lives as long as the table.
         """
         from ..sessions.persistence import table_fingerprint
 
@@ -395,10 +401,10 @@ class SessionService:
         :meth:`create` validation errors for inconsistent session metadata.
         Neither a session nor the table is registered when any step fails.
         """
-        from ..sessions.persistence import deserialize_state, session_options
+        from ..sessions.persistence import deserialize_state, require_document, session_options
 
         if table is None:
-            fingerprint = payload.get("table_fingerprint")
+            fingerprint = require_document(payload).get("table_fingerprint")
             if not isinstance(fingerprint, str):
                 raise SessionServiceError(
                     "the session document carries no table fingerprint; pass the table explicitly"

@@ -112,14 +112,28 @@ def save_session(
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
 
+def require_document(payload: object) -> dict[str, object]:
+    """``payload`` itself, or :class:`SessionPersistenceError` if it is no JSON object.
+
+    Session documents arrive from files, clients and the wire; every reader
+    checks their shape before looking inside, so a list or a string fails
+    with a typed error instead of an ``AttributeError``.
+    """
+    if not isinstance(payload, dict):
+        raise SessionPersistenceError(
+            f"malformed session: the document must be a JSON object, got {type(payload).__name__}"
+        )
+    return payload
+
+
 def document_strict(payload: dict[str, object]) -> bool:
     """The strictness a saved document records (v3).
 
     v1/v2 documents carry no flag and read as ``True`` — the historical
     behaviour.  Raises :class:`SessionPersistenceError` for a non-boolean
-    value.
+    value or a document that is not a JSON object.
     """
-    strict = payload.get("strict", True)
+    strict = require_document(payload).get("strict", True)
     if not isinstance(strict, bool):
         raise SessionPersistenceError(
             f"malformed session: 'strict' must be a boolean, got {strict!r}"
@@ -209,8 +223,12 @@ def deserialize_state(
     hand-edited documents; it only applies when those fields are present and
     the fingerprint matches (a deliberately cross-table load with
     ``verify_fingerprint=False`` legitimately yields a different query).
+
+    The document's shape and its ``labels`` object are checked before the
+    state is built, so a malformed document fails with
+    :class:`SessionPersistenceError` before any equality-type index work.
     """
-    if payload.get("format") != FORMAT:
+    if require_document(payload).get("format") != FORMAT:
         raise SessionPersistenceError("not a JIM session document")
     if payload.get("version") not in SUPPORTED_VERSIONS:
         supported = ", ".join(str(v) for v in SUPPORTED_VERSIONS)
@@ -228,12 +246,12 @@ def deserialize_state(
         raise SessionPersistenceError(
             "the saved session was recorded against a different candidate table"
         )
-    if strict is None:
-        strict = document_strict(payload)
-    state = InferenceState(table, strict=strict)
     labels = payload.get("labels", {})
     if not isinstance(labels, dict):
         raise SessionPersistenceError("malformed session: 'labels' must be an object")
+    if strict is None:
+        strict = document_strict(payload)
+    state = InferenceState(table, strict=strict)
     for tuple_id_text, label_text in labels.items():
         try:
             tuple_id = int(tuple_id_text)
@@ -275,9 +293,7 @@ def read_session_document(path: PathLike) -> dict[str, object]:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise SessionPersistenceError(f"cannot read session file {path!s}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SessionPersistenceError("malformed session: top-level value must be an object")
-    return payload
+    return require_document(payload)
 
 
 def resume_guided_session(

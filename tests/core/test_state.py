@@ -12,7 +12,8 @@ from repro import (
     Label,
     TupleStatus,
 )
-from repro.datasets import flights_hotels
+from repro.core.equality_types import EqualityTypeIndex
+from repro.datasets import flights_hotels, synthetic
 from repro.exceptions import InconsistentLabelError
 
 tid = flights_hotels.paper_tuple_id
@@ -154,6 +155,78 @@ class TestStatisticsAndUniverse:
     def test_all_pairs_scope_changes_universe(self, figure1_table):
         state = InferenceState(figure1_table, scope=AtomScope.ALL_PAIRS)
         assert state.universe.size == 10
+
+
+
+class TestSharedTypeIndex:
+    """The equality-type index depends on the table alone and is built once per table."""
+
+    def test_states_over_one_table_share_index_and_universe(self, figure1_table):
+        first = InferenceState(figure1_table)
+        second = InferenceState(figure1_table, strict=False)
+        assert second.type_index is first.type_index
+        assert second.universe is first.universe
+        assert first.universe is first.space.universe
+        assert first.universe is first.type_index.universe
+
+    def test_index_is_built_once_per_table(self, figure1_table, monkeypatch):
+        builds = _count_index_builds(monkeypatch)
+        for _ in range(3):
+            InferenceState(figure1_table)
+        assert builds == [figure1_table]
+        # A second instance with the same content is a table of its own.
+        InferenceState(flights_hotels.figure1_table())
+        assert len(builds) == 2
+
+    def test_factorized_table_shares_its_index(self, monkeypatch):
+        table = synthetic.generate_candidate_table(
+            synthetic.SyntheticConfig(tuples_per_relation=6, domain_size=3, seed=2)
+        )
+        assert table.factorization() is not None
+        builds = _count_index_builds(monkeypatch)
+        first, second = InferenceState(table), InferenceState(table)
+        assert first.type_index is second.type_index
+        assert len(builds) == 1
+
+    def test_other_atom_sets_get_their_own_index(self, figure1_table):
+        default = InferenceState(figure1_table)
+        all_pairs = InferenceState(figure1_table, scope=AtomScope.ALL_PAIRS)
+        narrow = InferenceState(
+            figure1_table,
+            universe=AtomUniverse.from_table(figure1_table, include_attributes=["To", "City"]),
+        )
+        indexes = {id(default.type_index), id(all_pairs.type_index), id(narrow.type_index)}
+        assert len(indexes) == 3
+        assert all_pairs.type_index is InferenceState(figure1_table, scope=AtomScope.ALL_PAIRS).type_index
+
+    def test_explicit_universe_with_the_default_atoms_shares_the_index(self, figure1_table):
+        default = InferenceState(figure1_table)
+        explicit = AtomUniverse.from_table(figure1_table)
+        state = InferenceState(figure1_table, universe=explicit)
+        assert state.type_index is default.type_index
+        assert state.universe is default.universe
+        assert state.space.universe is state.universe
+
+    def test_constructor_always_builds_a_new_index(self, figure1_table):
+        shared = InferenceState(figure1_table).type_index
+        fresh = EqualityTypeIndex(shared.universe)
+        assert fresh is not shared
+        assert fresh is not EqualityTypeIndex(shared.universe)
+        assert fresh.type_sizes() == shared.type_sizes()
+        assert EqualityTypeIndex.shared(shared.universe) is shared
+
+
+def _count_index_builds(monkeypatch) -> list:
+    """Patch a counter onto ``EqualityTypeIndex.__init__``; the list of built tables."""
+    builds = []
+    original = EqualityTypeIndex.__init__
+
+    def counting_init(self, universe):
+        builds.append(universe.table)
+        original(self, universe)
+
+    monkeypatch.setattr(EqualityTypeIndex, "__init__", counting_init)
+    return builds
 
 
 def _resolved_by_simulation(state: InferenceState, tuple_id: int, label: Label) -> int:

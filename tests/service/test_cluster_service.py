@@ -283,6 +283,14 @@ class TestErrorParity:
             cluster.resume(document, table=table)
         assert table_fingerprint(table) not in cluster.tables()
 
+    def test_non_object_document_is_a_persistence_error(self, cluster, flights_fingerprint):
+        from repro.sessions.persistence import SessionPersistenceError
+
+        for table in (None, flights_fingerprint):
+            for document in ([], "x"):
+                with pytest.raises(SessionPersistenceError, match="must be a JSON object"):
+                    cluster.resume(document, table=table)
+
     def test_non_hex_session_id_rejected_clearly(self, cluster, flights_fingerprint):
         with pytest.raises(ClusterServiceError, match="hexadecimal"):
             cluster.create(flights_fingerprint, session_id="my-session")

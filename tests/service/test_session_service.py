@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import gc
+import sys
 import threading
+import weakref
 
 import pytest
 
 from repro import GoalQueryOracle, JoinInferenceEngine, SessionService
+from repro.core.equality_types import EqualityTypeIndex
 from repro.datasets import flights_hotels, synthetic
-from repro.exceptions import StrategyError
+from repro.exceptions import ReproError, StrategyError
 from repro.service.protocol import Converged, QuestionAsked
 from repro.service.service import SessionServiceError
-from repro.sessions.persistence import table_fingerprint
+from repro.service.wire import execute_command
+from repro.sessions.persistence import SessionPersistenceError, table_fingerprint
 
 
 def drive_to_convergence(service: SessionService, session_id: str, table, goal) -> None:
@@ -174,6 +179,29 @@ class TestErrorPaths:
         with pytest.raises(SessionServiceError, match="unknown session id"):
             service.save(sid)
 
+    @pytest.mark.parametrize("document", [[], "x", 7, None])
+    def test_non_object_document_is_a_persistence_error(self, figure1_table, document):
+        service = SessionService()
+        fingerprint = service.register_table(figure1_table)
+        for table in (None, fingerprint, figure1_table):
+            with pytest.raises(SessionPersistenceError, match="must be a JSON object"):
+                service.resume(document, table=table)
+        assert len(service) == 0
+
+    def test_non_object_document_over_the_wire_is_a_repro_error(self, figure1_table):
+        service = SessionService()
+        fingerprint = service.register_table(figure1_table)
+        request = {
+            "cmd": "resume",
+            "document": [],
+            "fingerprint": fingerprint,
+            "session_id": "s1",
+        }
+        with pytest.raises(ReproError) as caught:
+            execute_command(service, request)
+        assert isinstance(caught.value, SessionPersistenceError)
+        assert len(service) == 0
+
 
 class TestSaveResume:
     def test_mid_session_save_resume_matches_uninterrupted_run(
@@ -268,7 +296,93 @@ class TestSaveResume:
             service.answer(resumed.session_id, "-", tuple_id=2)
 
 
+def _state_of(service: SessionService, session_id: str):
+    """The inference state behind a live session (white-box access)."""
+    return service._sessions[session_id].stepper.state
+
+
+def _lazy_table():
+    return synthetic.generate_candidate_table(
+        synthetic.SyntheticConfig(tuples_per_relation=12, domain_size=4, seed=3)
+    )
+
+
+class TestSharedTypeIndex:
+    def test_creates_and_resume_share_one_index_built_once(self, monkeypatch):
+        table = _lazy_table()
+        builds = []
+        original = EqualityTypeIndex.__init__
+
+        def counting_init(self, universe):
+            builds.append(universe)
+            original(self, universe)
+
+        monkeypatch.setattr(EqualityTypeIndex, "__init__", counting_init)
+        service = SessionService()
+        fingerprint = service.register_table(table)
+        assert builds == []  # registration stays lazy
+        first = service.create(fingerprint, mode="guided").session_id
+        second = service.create(fingerprint, mode="top-k", k=3).session_id
+        service.answer(first, "no", tuple_id=0)
+        resumed = service.resume(service.save(first)).session_id
+        states = [_state_of(service, sid) for sid in (first, second, resumed)]
+        assert len(builds) == 1
+        assert all(state.type_index is states[0].type_index for state in states)
+        assert all(state.universe is state.space.universe for state in states)
+
+    def test_closed_sessions_and_dropped_service_leave_the_table_collectable(self):
+        table = _lazy_table()
+        service = SessionService()
+        fingerprint = service.register_table(table)
+        goal = synthetic.random_goal_query(table, num_atoms=1, seed=5)
+        first = service.create(fingerprint, mode="guided").session_id
+        drive_to_convergence(service, first, table, goal)
+        resumed = service.resume(service.save(first)).session_id
+        second = service.create(fingerprint, mode="manual").session_id
+        for session_id in (first, resumed, second):
+            service.close(session_id)
+        reference = weakref.ref(table)
+        del table, service, goal
+        gc.collect()
+        assert reference() is None
+
+
 class TestConcurrency:
+    def test_concurrent_first_creates_on_a_fresh_table_agree(self):
+        service = SessionService()
+        fingerprint = service.register_table(_lazy_table())
+        threads_count = 8
+        barrier = threading.Barrier(threads_count)
+        results: list[tuple[str, int]] = []
+        errors: list[BaseException] = []
+
+        def first_question() -> None:
+            try:
+                barrier.wait(timeout=30)
+                session_id = service.create(fingerprint, mode="guided").session_id
+                event = service.next_question(session_id)
+                assert isinstance(event, QuestionAsked)
+                results.append((session_id, event.tuple_id))
+            except BaseException as exc:  # noqa: BLE001 - surfaced to the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=first_question, daemon=True) for _ in range(threads_count)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the cold index builds finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(results) == threads_count
+        assert len({tuple_id for _, tuple_id in results}) == 1
+        indexes = {id(_state_of(service, session_id).type_index) for session_id, _ in results}
+        assert len(indexes) == 1
+
     def test_distinct_sessions_answered_concurrently(self):
         # Several labelers, each with their own session (and even their own
         # table), all stepping through one shared service from worker threads.

@@ -7,13 +7,17 @@ import json
 import pytest
 
 from repro import GoalQueryOracle, InferenceState, Label
+from repro.core.equality_types import EqualityTypeIndex
 from repro.datasets import flights_hotels
 from repro.sessions.persistence import (
     SessionPersistenceError,
+    deserialize_state,
+    document_strict,
     load_session,
     resume_guided_session,
     save_session,
     serialize_state,
+    session_options,
     table_fingerprint,
 )
 
@@ -80,6 +84,32 @@ class TestSaveAndLoad:
         path.write_text(json.dumps({"format": "other"}), encoding="utf-8")
         with pytest.raises(SessionPersistenceError):
             load_session(path, figure1_table)
+
+    @pytest.mark.parametrize("document", [[], ["a", "list"], "x", 3, None, True])
+    def test_non_object_documents_rejected(self, figure1_table, document):
+        for read in (
+            lambda: deserialize_state(document, figure1_table),
+            lambda: deserialize_state(document, figure1_table, verify_fingerprint=False),
+            lambda: document_strict(document),
+            lambda: session_options(document),
+        ):
+            with pytest.raises(SessionPersistenceError, match="must be a JSON object"):
+                read()
+
+    def test_malformed_labels_fail_before_the_state_is_built(self, figure1_table, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            EqualityTypeIndex, "__init__", lambda self, universe: built.append(universe)
+        )
+        payload = {
+            "format": "jim-session",
+            "version": 3,
+            "table_fingerprint": table_fingerprint(figure1_table),
+            "labels": ["0", "+"],
+        }
+        with pytest.raises(SessionPersistenceError, match="'labels' must be an object"):
+            deserialize_state(payload, figure1_table)
+        assert built == []
 
     def test_unsupported_version_rejected(self, figure1_table, tmp_path):
         state = InferenceState(figure1_table)
