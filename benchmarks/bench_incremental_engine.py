@@ -18,9 +18,8 @@ The current engine keeps the type state in flat arrays
 call per step.  The benchmark measures both gaps — seed → incremental at the
 interactive scale (45² candidates, ≥5×) and dict → kernels at the
 setup scale (320² ≈ 10⁵ candidates, ≥10×) — and checks *observational
-equivalence*: on every scenario all engines (the current one on every
-available kernel backend) must ask about the same tuples in the same order,
-receive the same labels, and infer the same query.
+equivalence*: on every scenario all engines must ask about the same tuples
+in the same order, receive the same labels, and infer the same query.
 
 Run standalone::
 
@@ -47,7 +46,6 @@ from repro import GoalQueryOracle, JoinInferenceEngine
 from repro.core.atoms import is_subset, popcount
 from repro.core.examples import Label
 from repro.core.informativeness import classify_all, classify_tuple
-from repro.core.kernels import available_backends, use_backend
 from repro.core.propagation import diff_statuses
 from repro.core.space import ConsistentQuerySpace
 from repro.core.state import InferenceState
@@ -506,9 +504,8 @@ def _trace_signature(result):
 def check_equivalence(quick: bool) -> list[str]:
     """All engines must produce identical traces on every scenario.
 
-    The current engine runs once per available kernel backend (numpy fast
-    path and pure-Python fallback); each run must match the seed engine, and
-    for the strategies the dict engine implements, the dict engine too.
+    The current engine must match the seed engine, and for the strategies
+    the dict engine implements, the dict engine too.
     """
     sizes = (6, 10) if quick else (10, 20, 30)
     scenarios = [(f"figure1/{q}", figure1_workload(q)) for q in ("q1", "q2")]
@@ -528,7 +525,6 @@ def check_equivalence(quick: bool) -> list[str]:
     ]
     if not quick:
         strategies.append("lookahead-kstep")
-    backends = available_backends()
     mismatches = []
     for scenario_name, workload in scenarios:
         for name in strategies:
@@ -536,11 +532,9 @@ def check_equivalence(quick: bool) -> list[str]:
                 continue  # the seed k-step is too slow beyond toy sizes
             legacy, _ = _run(workload, _seed_strategy(name, seed=7), _SeedState)
             reference = _trace_signature(legacy)
-            for backend in backends:
-                with use_backend(backend):
-                    incremental, _ = _run(workload, create_strategy(name, seed=7))
-                if _trace_signature(incremental) != reference:
-                    mismatches.append(f"{scenario_name} × {name} [{backend}]")
+            incremental, _ = _run(workload, create_strategy(name, seed=7))
+            if _trace_signature(incremental) != reference:
+                mismatches.append(f"{scenario_name} × {name}")
             if name in _DICT_TEMPLATES:
                 dict_result, _ = _run(workload, _DICT_TEMPLATES[name](), _DictState)
                 if _trace_signature(dict_result) != reference:
@@ -585,10 +579,9 @@ def measure_speedup(quick: bool, repeats: int) -> dict:
 def measure_kernel_speedup(quick: bool, repeats: int) -> dict:
     """Lookahead-entropy at the 10⁵-candidate scale: dict engine vs kernels.
 
-    The dict engine runs under the pure-Python backend (it predates the
-    kernels, so nothing in its hot loop may touch numpy); the kernel engine
-    runs on the default backend.  Both must produce byte-identical traces —
-    the speedup only counts if the answers are the same.
+    The dict engine predates the kernels: its hot loop is Python dicts and
+    scalar loops.  Both must produce byte-identical traces — the speedup
+    only counts if the answers are the same.
     """
     size = 60 if quick else 320
     workload = scalability_workloads(
@@ -599,10 +592,7 @@ def measure_kernel_speedup(quick: bool, repeats: int) -> dict:
         walls, engine_seconds, signature = [], [], None
         for _ in range(repeats):
             if dict_state:
-                with use_backend("python"):
-                    result, wall = _run(
-                        workload, _DictScoredStrategy(EntropyStrategy()), _DictState
-                    )
+                result, wall = _run(workload, _DictScoredStrategy(EntropyStrategy()), _DictState)
             else:
                 result, wall = _run(workload, create_strategy("lookahead-entropy"))
             assert result.matches_goal(workload.goal)
@@ -647,7 +637,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     repeats = max(1, args.repeats)
 
     print("== trace equivalence: incremental engine vs seed implementation ==")
-    print(f"kernel backends under test: {', '.join(available_backends())}")
     mismatches = check_equivalence(args.quick)
     if mismatches:
         print(f"FAIL: {len(mismatches)} diverging scenario(s):")
@@ -686,11 +675,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if failed:
         return 1
 
-    config = {
-        "quick": args.quick,
-        "repeats": repeats,
-        "backends": available_backends(),
-    }
+    config = {"quick": args.quick, "repeats": repeats}
     results = {"seed_gate": stats, "kernel_gate": kernel_stats}
     if args.compare:
         regressions, baseline = compare_to_trajectory(

@@ -6,9 +6,8 @@ There is no ``pyproject.toml``: every piece of metadata lives in the
 fetch its build requirements, ``pip install --no-build-isolation .`` needs
 setuptools and wheel; ``python setup.py install`` needs setuptools only.
 The version is read from ``src/repro/__init__.py`` without importing the
-package.  numpy is an optional extra (``pip install .[numpy]``): it enables
-the kernels' fast path, and the pure-Python kernels give the same answers
-without it.
+package.  The one runtime dependency is numpy 2 or later: the inference
+kernels are numpy array code, with no pure-Python twin.
 """
 
 import re
@@ -28,5 +27,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    extras_require={"numpy": ["numpy"]},
+    install_requires=["numpy>=2"],
 )

@@ -2,8 +2,8 @@
 
 An AST-based lint pass that encodes the architectural invariants of this
 repository as named rules (``RPR001``…): sans-IO purity of the inference
-core, lock discipline in the serving tier, lazy-table discipline, numpy
-containment, seeded RNG, wire-registry completeness, executor discipline,
+core, lock discipline in the serving tier, lazy-table discipline, seeded
+RNG, wire-registry completeness, executor discipline,
 the transport monopoly — and, since the whole-program pass, the import-layer
 DAG, lock-order acyclicity, blocking-in-async and resource lifecycle.  See
 ``docs/static-analysis.md`` for the rule catalog,

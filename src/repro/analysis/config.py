@@ -46,8 +46,6 @@ PROJECT_SCOPES: dict[str, Scope] = {
     "RPR002": Scope(include=("src/repro/*",)),
     # Lazy-table discipline governs the inference core (strategies included).
     "RPR003": Scope(include=("src/repro/core/*",)),
-    # numpy containment: kernels.py owns the unguarded import.
-    "RPR004": Scope(include=("*",), exclude=("src/repro/core/kernels.py",)),
     # Seeded RNG everywhere.
     "RPR005": Scope(include=("*",)),
     # Wire-registry completeness is specific to the protocol module.

@@ -7,7 +7,6 @@ from . import (  # noqa: F401 - imports register the rules
     lazy_tables,
     lock_discipline,
     lock_order,
-    numpy_containment,
     raw_sockets,
     resource_lifecycle,
     sans_io,

@@ -32,10 +32,7 @@ import itertools
 from collections.abc import Iterator, Mapping
 from types import MappingProxyType
 
-try:  # Optional: ids_of_mask merges per-combination id vectors with numpy.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
+import numpy as _np
 
 from ..relational.columnar import (
     FactorGrouping,
@@ -44,7 +41,6 @@ from ..relational.columnar import (
     combo_equalities,
 )
 from .atoms import AtomUniverse, popcount
-from .kernels import numpy_enabled as _numpy_ids_on
 
 
 class _FactorizedTypes:
@@ -82,8 +78,7 @@ class _FactorizedTypes:
 
     #: Above this many combinations per type, per-combination numpy dispatch
     #: costs more than the ids it produces (large grids put most types on
-    #: ~one candidate per combination); the bulk mixed-radix loop wins on
-    #: both backends.
+    #: ~one candidate per combination); the bulk mixed-radix loop wins.
     _MANY_COMBOS = 4096
 
     def ids_of_mask(self, mask: int) -> tuple[int, ...]:
@@ -92,11 +87,7 @@ class _FactorizedTypes:
         if not combos:
             return ()
         grouping = self.grouping
-        if (
-            len(combos) <= self._MANY_COMBOS
-            and _numpy_ids_on()
-            and grouping.factorization.num_rows < (1 << 62)
-        ):
+        if len(combos) <= self._MANY_COMBOS:
             arrays = [grouping.combo_id_array(combo) for combo in combos]
             if len(arrays) == 1:
                 merged = arrays[0]  # each combination's ids are already ascending

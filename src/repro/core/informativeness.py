@@ -148,8 +148,8 @@ class TypeStatusCache:
 
     A type is *informative* exactly when its certain label is ``None`` and it
     still has unlabeled tuples.  The state lives in an array-backed
-    :class:`~repro.core.kernels.TypeTable` (numpy fast path, pure-Python
-    fallback): :meth:`apply_label` refreshes all stale rows in one vectorized
+    :class:`~repro.core.kernels.TypeTable`, whose lanes the universe's width
+    decides: :meth:`apply_label` refreshes all stale rows in one vectorized
     pass — certain types are never re-evaluated while the example set stays
     consistent (see the module docstring for why that is sound) — and
     :meth:`copy` is an O(1) copy-on-write of the column arrays, which makes
@@ -162,7 +162,9 @@ class TypeStatusCache:
         sizes = type_index.type_sizes()
         # Type-level: start from the cached type sizes and subtract the
         # (few) labeled tuples, instead of enumerating every tuple per type.
-        self._table = make_type_table(masks, [sizes[mask] for mask in masks])
+        self._table = make_type_table(
+            masks, [sizes[mask] for mask in masks], len(type_index.universe.atoms)
+        )
         self._table.refresh_certain(space.positive_mask, space.negative_masks)
         for tuple_id in examples.labeled_ids:
             self._table.decrement_unlabeled(type_index.mask(tuple_id))
@@ -190,11 +192,10 @@ class TypeStatusCache:
     def informative_arrays(self) -> tuple[Sequence[int], Sequence[int]]:
         """The informative snapshot as aligned mask and count sequences.
 
-        Taken once per label by the type table (int64 arrays on the numpy
-        backend, lists otherwise) and shared by the grouping and the
-        lookahead kernel of that step; see
+        Taken once per label by the type table and shared by the grouping
+        and the lookahead kernel of that step; see
         :meth:`TypeTable.informative_arrays
-        <repro.core.kernels._BaseTypeTable.informative_arrays>`.
+        <repro.core.kernels.TypeTable.informative_arrays>`.
         """
         return self._table.informative_arrays()
 
@@ -216,7 +217,7 @@ class TypeStatusCache:
         """Prune counts per restricted candidate type, via the table kernel.
 
         Delegates to :meth:`TypeTable.prune_counts_informative
-        <repro.core.kernels._BaseTypeTable.prune_counts_informative>`, which
+        <repro.core.kernels.TypeTable.prune_counts_informative>`, which
         scores every candidate in one batched kernel call against the
         table's informative snapshot.
         """
@@ -232,9 +233,8 @@ class TypeStatusCache:
 
         For callers without a long-lived cache: answers the same question as
         :meth:`has_informative` without materialising per-type state.  The
-        per-type certain labels come from the batch
-        :func:`~repro.core.kernels.certain_codes` kernel; its pure-Python
-        path is lazy, so the scan still stops at the first informative type.
+        per-type certain labels come from one batch
+        :func:`~repro.core.kernels.certain_codes` pass.
         """
         type_index = space.type_index
         labeled_per_type: dict[int, int] = {}
@@ -296,7 +296,7 @@ def unlabeled_ids_of_types(
     The shared materialisation step of :meth:`InferenceState.informative_ids
     <repro.core.state.InferenceState.informative_ids>` and
     :func:`~repro.core.propagation.delta_result`: per-type id lists come from
-    the (possibly factorized, numpy-accelerated) index and are merged here.
+    the (possibly factorized) index and are merged here.
     """
     ids = [
         tuple_id

@@ -228,8 +228,8 @@ class InferenceState:
         ``restricted`` types are the candidate set the type-level strategies
         score — typically orders of magnitude smaller than the informative
         tuple set.  The grouping runs on the cache's array snapshot (one
-        ``unique`` over ``masks & M`` on the numpy backend), the same
-        snapshot the lookahead kernel of this step scores against.
+        ``unique`` over ``masks & M``), the same snapshot the lookahead
+        kernel of this step scores against.
         """
         masks, counts = self._cache.informative_arrays()
         return TypeGroups(masks, counts, self.space.positive_mask)

@@ -34,26 +34,9 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator, Mapping, Sequence
 
-try:  # Optional fast path; every consumer has an exact pure-Python fallback.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
+import numpy as _np
 
 Row = tuple
-
-
-def _numpy_on() -> bool:
-    """Whether the numpy fast paths are enabled for this call.
-
-    Defers to the kernel backend switch (:mod:`repro.core.kernels`) so that
-    ``REPRO_KERNEL_BACKEND`` / ``use_backend`` turn *all* array fast paths on
-    and off together; imported lazily to keep this module import-cycle-free.
-    """
-    if _np is None:
-        return False
-    from ..core.kernels import numpy_enabled
-
-    return numpy_enabled()
 
 #: Equality code of ``None`` cells.  Negative codes never satisfy an equality
 #: (``None`` and NaN never compare equal to anything, themselves included).
@@ -123,29 +106,20 @@ def columnar_equality_masks(
     — one tight integer loop per pair, the columnar replacement of the
     per-row, per-atom object comparisons.
     """
-    if _numpy_on() and len(pairs) < 63:
-        arrays = {
-            column: _np.asarray(column_codes, dtype=_np.int64)
-            for column, column_codes in codes.items()
-        }
-        masks_arr = _np.zeros(num_rows, dtype=_np.int64)
-        bit = 1
-        for left, right in pairs:
-            left_codes = arrays[left]
-            right_codes = arrays[right]
-            masks_arr[(left_codes >= 0) & (left_codes == right_codes)] |= _np.int64(bit)
-            bit <<= 1
-        return masks_arr.tolist()
-    masks = [0] * num_rows
+    arrays = {
+        column: _np.asarray(column_codes, dtype=_np.int64)
+        for column, column_codes in codes.items()
+    }
+    # Up to 62 pairs the masks fit int64 lanes; past that they are Python
+    # ints in an object array, built by the same expressions.
+    masks_arr = _np.zeros(num_rows, dtype=_np.int64 if len(pairs) < 63 else object)
     bit = 1
     for left, right in pairs:
-        left_codes = codes[left]
-        right_codes = codes[right]
-        for tuple_id, (a, b) in enumerate(zip(left_codes, right_codes, strict=True)):
-            if a >= 0 and a == b:
-                masks[tuple_id] |= bit
+        left_codes = arrays[left]
+        right_codes = arrays[right]
+        masks_arr[(left_codes >= 0) & (left_codes == right_codes)] |= bit
         bit <<= 1
-    return masks
+    return masks_arr.tolist()
 
 
 class ProductFactorization:
@@ -213,10 +187,6 @@ class ProductFactorization:
             digit, remainder = divmod(remainder, stride)
             digits.append(digit)
         return tuple(digits)
-
-    def tuple_id_of(self, digits: Sequence[int]) -> int:
-        """Mixed-radix encoding: the flat ``tuple_id`` of per-factor indices."""
-        return sum(digit * stride for digit, stride in zip(digits, self.strides, strict=True))
 
     def row(self, tuple_id: int) -> Row:
         """Reconstruct one candidate row on demand (no materialisation)."""
@@ -293,11 +263,7 @@ class FactorGrouping:
 
     def ids_of_combo(self, combo: Sequence[int]) -> list[int]:
         """The candidate tuple ids of one group combination (ascending)."""
-        if _numpy_on() and self.factorization.num_rows < (1 << 62):
-            return self.combo_id_array(combo).tolist()
-        member_lists = [self.members[factor][gid] for factor, gid in enumerate(combo)]
-        tuple_id_of = self.factorization.tuple_id_of
-        return [tuple_id_of(digits) for digits in itertools.product(*member_lists)]
+        return self.combo_id_array(combo).tolist()
 
     def ids_of_combos(self, combos: Sequence[Sequence[int]]) -> list[int]:
         """The candidate ids of many combinations, merged ascending.
@@ -341,13 +307,18 @@ class FactorGrouping:
         return best
 
     def _member_array(self, factor: int, gid: int) -> _np.ndarray:
-        """One group's base-row indices as a cached int64 vector."""
+        """One group's base-row indices as a cached vector.
+
+        int64 while every tuple id fits below 2⁶², Python ints (``object``)
+        past it, so the id arithmetic of :meth:`combo_id_array` is exact.
+        """
         if self._member_arrays is None:
             self._member_arrays = {}
         key = (factor, gid)
         cached = self._member_arrays.get(key)
         if cached is None:
-            cached = _np.asarray(self.members[factor][gid], dtype=_np.int64)
+            lane = _np.int64 if self.factorization.num_rows < (1 << 62) else object
+            cached = _np.asarray(self.members[factor][gid], dtype=lane)
             self._member_arrays[key] = cached
         return cached
 

@@ -40,7 +40,7 @@ class TestRegistry:
         assert len(rules) >= 6
         codes = [rule.code for rule in rules]
         assert codes == sorted(codes)
-        for expected in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006"):
+        for expected in ("RPR001", "RPR002", "RPR003", "RPR005", "RPR006", "RPR007"):
             assert expected in codes
 
     def test_every_rule_carries_name_and_rationale(self):
@@ -135,8 +135,9 @@ class TestSuppressions:
             tmp_path,
             "src/repro/core/bad.py",
             """\
-            print("x")  # repro-lint: disable=RPR001, RPR004
-            import numpy  # repro-lint: disable=all
+            import random
+            print("x")  # repro-lint: disable=RPR001, RPR005
+            random.seed(1)  # repro-lint: disable=all
             """,
         )
         report = project_analyzer(tmp_path).analyze_paths([tmp_path / "src"])
@@ -182,9 +183,9 @@ class TestReports:
         assert [finding.code for finding in report.findings] == [SYNTAX_ERROR_CODE]
 
     def test_counts_by_rule(self, tmp_path):
-        write(tmp_path, "src/repro/core/bad.py", 'print("x")\nimport numpy\n')
+        write(tmp_path, "src/repro/core/bad.py", 'import random\nprint("x")\nrandom.seed(1)\n')
         report = project_analyzer(tmp_path).analyze_paths([tmp_path / "src"])
-        assert report.counts_by_rule() == {"RPR001": 1, "RPR004": 1}
+        assert report.counts_by_rule() == {"RPR001": 1, "RPR005": 1}
 
     def test_directories_are_walked_and_pycache_skipped(self, tmp_path):
         write(tmp_path, "src/repro/core/bad.py", VIOLATION)
@@ -225,7 +226,7 @@ class TestCli:
         write(tmp_path, "src/repro/core/fine.py", "x = 1\n")
         assert cli_main(["--root", str(tmp_path), "--stats", str(tmp_path / "src")]) == 0
         out = capsys.readouterr().out
-        for code in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006"):
+        for code in ("RPR001", "RPR002", "RPR003", "RPR005", "RPR006", "RPR007"):
             assert f"{code} (" in out
 
     def test_list_rules(self, capsys):

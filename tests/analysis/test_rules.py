@@ -254,56 +254,6 @@ class TestLazyTables:
         assert findings == []
 
 
-class TestNumpyContainment:
-    """RPR004: numpy imports are guarded everywhere but kernels.py."""
-
-    def test_flags_unguarded_import(self, tmp_path):
-        findings = run_rule(
-            "RPR004",
-            tmp_path,
-            "src/repro/experiments/violating.py",
-            "import numpy as np\nfrom numpy import int64\n",
-        )
-        assert len(findings) == 2
-
-    def test_guarded_import_passes(self, tmp_path):
-        findings = run_rule(
-            "RPR004",
-            tmp_path,
-            "src/repro/relational/clean.py",
-            """\
-            try:
-                import numpy as _np
-            except ImportError:
-                _np = None
-            """,
-        )
-        assert findings == []
-
-    def test_kernels_carveout(self, tmp_path):
-        findings = run_rule(
-            "RPR004",
-            tmp_path,
-            "src/repro/core/kernels.py",
-            "import numpy\n",
-        )
-        assert findings == []
-
-    def test_guard_must_catch_import_error(self, tmp_path):
-        findings = run_rule(
-            "RPR004",
-            tmp_path,
-            "src/repro/core/wrong_guard.py",
-            """\
-            try:
-                import numpy
-            except ValueError:
-                numpy = None
-            """,
-        )
-        assert len(findings) == 1
-
-
 class TestSeededRng:
     """RPR005: no module-level RNG state anywhere."""
 

@@ -15,10 +15,11 @@ definitions give directly:
 * a top-k batch is the informative tuples ranked by the entropy score
   descending, then by id, cut to ``k``.
 
-Each property runs over flat and factorized (cross-product) tables, on the
-pure-Python backend and on both numpy kernel paths (row-blocked, and
-bit-sliced with ``_BITSLICE_CELLS`` forced to 0).  The brute-force counts are
-always taken on the pure-Python kernel.
+Each property runs over flat and factorized (cross-product) tables, on both
+kernel paths of the int64 lane (row-blocked, and bit-sliced with
+``_BITSLICE_CELLS`` forced to 0) and on the object lane (every type table
+built as if the universe were 70 atoms wide).  The brute-force counts come
+straight from the certain-label definitions, tuple by tuple, with no kernel.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import CandidateTable, InferenceState, Label
-from repro.core import kernels
-from repro.core.kernels import HAVE_NUMPY, use_backend
+from repro.core import informativeness, kernels
+from repro.core.atoms import is_subset
+from repro.core.informativeness import TupleStatus, classify_all
 from repro.core.strategies.lookahead import (
     EntropyStrategy,
     ExpectedPruneStrategy,
@@ -50,26 +52,28 @@ SETTINGS = settings(
 
 SCORED = (ExpectedPruneStrategy(), MinMaxPruneStrategy(), EntropyStrategy())
 
-#: (backend, _BITSLICE_CELLS) per kernel path; the row-blocked path keeps
-#: every call below the cutoff.
+#: (_BITSLICE_CELLS, universe width the type tables are built for) per
+#: kernel path; the row-blocked path keeps every call below the cutoff, and
+#: a 70-atom width puts every table on the object lane.
 PATHS = {
-    "python": ("python", kernels._BITSLICE_CELLS),
-    "row-blocked": ("numpy", 1 << 62),
-    "bit-sliced": ("numpy", 0),
+    "row-blocked": (1 << 62, None),
+    "bit-sliced": (0, None),
+    "object lane": (kernels._BITSLICE_CELLS, 70),
 }
 
 
 @pytest.fixture(params=sorted(PATHS))
 def kernel_path(request):
-    backend, cutoff = PATHS[request.param]
-    if backend == "numpy" and not HAVE_NUMPY:
-        pytest.skip("the numpy kernel paths need numpy")
-    if cutoff == 0 and not kernels._HAVE_BITWISE_COUNT:
-        pytest.skip("the bit-sliced path needs numpy.bitwise_count")
+    cutoff, width = PATHS[request.param]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_BITSLICE_CELLS", cutoff)
-        with use_backend(backend):
-            yield request.param
+        if width is not None:
+            patch.setattr(
+                informativeness,
+                "make_type_table",
+                lambda masks, sizes, _width: kernels.make_type_table(masks, sizes, width),
+            )
+        yield request.param
 
 
 @st.composite
@@ -110,10 +114,39 @@ def factorized_tables(draw) -> CandidateTable:
 TABLES = st.one_of(flat_tables(), factorized_tables())
 
 
+def _certain(positive_mask: int, negative_masks: list[int], mask: int) -> bool:
+    """Whether a type's label is implied under ``(M, N)``, by definition."""
+    return is_subset(positive_mask, mask) or any(
+        is_subset(positive_mask & mask, neg) for neg in negative_masks
+    )
+
+
 def _brute_force_counts(state: InferenceState) -> dict[int, tuple[int, int]]:
-    """Prune counts of every informative tuple, on the pure-Python kernel."""
-    with use_backend("python"):
-        return state.prune_counts_all()
+    """Prune counts of every informative tuple, one hypothetical label at a time.
+
+    A positive label of ``t`` shrinks ``M`` to ``M ∩ E(t)``; a negative one
+    adds ``E(t)`` to the negative types.  Each count is the number of
+    informative tuples whose label that answer implies.
+    """
+    statuses = classify_all(state.space, state.examples)
+    informative = [tid for tid, status in statuses.items() if status is TupleStatus.INFORMATIVE]
+    mask_of = state.type_index.mask
+    positive_mask = state.space.positive_mask
+    negative_masks = list(state.space.negative_masks)
+    counts = {}
+    for tuple_id in informative:
+        candidate = mask_of(tuple_id)
+        counts[tuple_id] = (
+            sum(
+                _certain(positive_mask & candidate, negative_masks, mask_of(other))
+                for other in informative
+            ),
+            sum(
+                _certain(positive_mask, [*negative_masks, candidate], mask_of(other))
+                for other in informative
+            ),
+        )
+    return counts
 
 
 def _ranked(counts: dict[int, tuple[int, int]], value, limit: int) -> list[int]:

@@ -5,30 +5,23 @@ the whole hot loop, so they get their own equivalence suite:
 
 * the batch classification (:func:`certain_codes`) and the lookahead kernel
   (:func:`prune_counts_batch`) must agree with an independent scalar
-  re-implementation of the seed's formulas on *every* backend, including
-  masks past the int64 lane (where a numpy request must silently take the
-  exact pure-Python path);
-* the numpy lookahead kernel must give the same answer whatever its row
-  block size and on either side of the bit-sliced cutoff, with or without
-  ``numpy.bitwise_count``, take the exact bit-sliced path (or, without
-  ``bitwise_count``, the pure-Python one) once the counts sum to 2⁵³, and
-  score a 1500 × 1500 call in a few MB;
+  re-implementation of the paper's formulas on *every* path: the
+  row-blocked and bit-sliced kernels of the int64 lane, and the object lane
+  that masks past bit 62 (up to 2⁷⁰ here) and counts summing past 2⁶³ take;
+* the lookahead kernel must give the same answer whatever its row block
+  size and on either side of the bit-sliced cutoff, take the exact
+  bit-sliced path once the counts sum to 2⁵³, and score a 1500 × 1500 call
+  in a few MB;
 * candidates carrying bits outside ``M`` must score as their restriction to
   ``M`` on every path;
-* the two :class:`TypeTable` implementations must stay observationally
-  identical through arbitrary refresh/decrement/copy sequences, their
-  copy-on-write clones must be isolated from their parents, and a table's
-  flips, informative snapshot and lookahead scores must match the scalar
-  reference (a numpy request over masks past bit 62 builds the pure-Python
-  table);
+* a :class:`TypeTable` must behave the same on both lanes through arbitrary
+  refresh/decrement/copy sequences, its copy-on-write clones must be
+  isolated from their parents, and its flips, informative snapshot and
+  lookahead scores must match the scalar reference;
 * a full :class:`InferenceState` driven through randomised label sequences —
   over tables with ``None``/NaN cells and over sampled cross products — must
   produce identical statuses, prune counts and propagation results on the
-  pure-Python and numpy backends.
-
-When numpy is not installed the numpy-vs-python comparisons are skipped and
-the remaining assertions pin the pure-Python path against the scalar
-reference — the suite is part of the no-numpy CI job for exactly that reason.
+  int64 lane and on the object lane.
 """
 
 from __future__ import annotations
@@ -36,24 +29,22 @@ from __future__ import annotations
 import random
 import tracemalloc
 
+import numpy
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import CandidateTable, InferenceState, Label
-from repro.core import kernels
+from repro.core import informativeness, kernels
 from repro.core.atoms import is_subset
 from repro.core.informativeness import classify_all
 from repro.core.kernels import (
     CERTAIN_NEGATIVE,
     CERTAIN_POSITIVE,
-    HAVE_NUMPY,
     UNKNOWN,
-    available_backends,
     certain_codes,
     make_type_table,
     prune_counts_batch,
-    use_backend,
 )
 from repro.datasets.synthetic import SyntheticConfig, generate_instance
 from repro.exceptions import InconsistentLabelError
@@ -62,14 +53,16 @@ SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
-#: Narrow masks exercise the numpy int64 fast path; wide ones force the
-#: pure-Python fallback even when numpy was requested.
+#: Narrow masks ride the int64 lane; wide ones (up to 2⁷⁰) the object lane.
 NARROW_MASKS = st.integers(min_value=0, max_value=(1 << 12) - 1)
 WIDE_MASKS = st.integers(min_value=0, max_value=(1 << 70) - 1)
 
+#: Universe widths on either side of the int64 lane's last atom (62).
+LANE_WIDTHS = (62, 70)
+
 
 # --------------------------------------------------------------------------- #
-# Scalar reference: the seed's formulas, re-implemented independently
+# Scalar reference: the paper's formulas, re-implemented independently
 # --------------------------------------------------------------------------- #
 def _reference_code(mask: int, positive_mask: int, negative_masks: list[int]) -> int:
     """Certain-label code per the seed's ``certain_label_for`` logic."""
@@ -100,6 +93,44 @@ def _reference_prune_counts(
         if is_subset(positive_mask & mask, candidate_type):
             resolved_if_negative += count
     return resolved_if_positive, resolved_if_negative
+
+
+def _reference_batch(masks, counts, candidate_types, positive_mask, negative_masks):
+    snapshot = list(zip(masks, counts, strict=True))
+    return [
+        _reference_prune_counts(snapshot, candidate, positive_mask, negative_masks)
+        for candidate in candidate_types
+    ]
+
+
+#: ``(_BITSLICE_CELLS, lane of the mask columns)`` per kernel path.  The
+#: row-blocked kernel takes every int64 call below its cutoff whose counts
+#: sum below 2⁵³, the bit-sliced kernel every call at a cutoff of 0, and
+#: object arrays put a call on the object lane whatever its size.
+PATHS = {
+    "row-blocked": (1 << 62, None),
+    "bit-sliced": (0, None),
+    "object lane": (1 << 62, object),
+}
+
+
+def _prune_counts_on(path, masks, counts, candidates, positive_mask, negative_masks):
+    """:func:`prune_counts_batch` with its path forced as ``PATHS[path]`` says."""
+    cutoff, lane = PATHS[path]
+    if lane is not None:
+        masks, candidates = (numpy.asarray(column, dtype=lane) for column in (masks, candidates))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_BITSLICE_CELLS", cutoff)
+        return prune_counts_batch(masks, counts, candidates, positive_mask, negative_masks)
+
+
+def _assert_every_path_matches_reference(
+    masks, counts, candidates, positive_mask, negative_masks
+):
+    expected = _reference_batch(masks, counts, candidates, positive_mask, negative_masks)
+    for path in PATHS:
+        got = _prune_counts_on(path, masks, counts, candidates, positive_mask, negative_masks)
+        assert got == expected, path
 
 
 def _large_call():
@@ -138,58 +169,47 @@ def kernel_inputs(draw, mask_strategy=NARROW_MASKS):
 # --------------------------------------------------------------------------- #
 class TestBatchKernels:
     @SETTINGS
-    @given(inputs=kernel_inputs(), backend=st.sampled_from(("python", "numpy")))
-    def test_certain_codes_match_reference(self, inputs, backend):
+    @given(inputs=kernel_inputs())
+    def test_certain_codes_match_reference(self, inputs):
+        # Lists of narrow masks take the int64 lane; an object array keeps
+        # the object lane.
         masks, _, positive_mask, negative_masks = inputs
         expected = [_reference_code(mask, positive_mask, negative_masks) for mask in masks]
-        got = list(certain_codes(masks, positive_mask, negative_masks, backend=backend))
-        assert got == expected
+        assert certain_codes(masks, positive_mask, negative_masks) == expected
+        wide = numpy.asarray(masks, dtype=object)
+        assert certain_codes(wide, positive_mask, negative_masks) == expected
 
     @SETTINGS
     @given(inputs=kernel_inputs(mask_strategy=WIDE_MASKS))
-    def test_certain_codes_wide_masks_fall_back_exactly(self, inputs):
-        # Masks past bit 62 must never be squeezed into the int64 lane; a
-        # numpy request silently takes the exact pure-Python path.
+    def test_certain_codes_wide_masks_stay_exact(self, inputs):
+        # Masks past bit 62 are never squeezed into the int64 lane.
         masks, _, positive_mask, negative_masks = inputs
         expected = [_reference_code(mask, positive_mask, negative_masks) for mask in masks]
-        assert list(certain_codes(masks, positive_mask, negative_masks, backend="numpy")) == expected
+        assert certain_codes(masks, positive_mask, negative_masks) == expected
 
     @SETTINGS
     @given(
         inputs=kernel_inputs(),
         candidate_types=st.lists(NARROW_MASKS, min_size=0, max_size=8),
-        backend=st.sampled_from(("python", "numpy")),
     )
-    def test_prune_counts_batch_matches_seed_formula(self, inputs, candidate_types, backend):
+    def test_prune_counts_batch_matches_seed_formula(self, inputs, candidate_types):
         masks, counts, positive_mask, negative_masks = inputs
-        snapshot = list(zip(masks, counts, strict=True))
         restricted = [candidate & positive_mask for candidate in candidate_types]
-        got = prune_counts_batch(
-            masks, counts, restricted, positive_mask, negative_masks, backend=backend
+        _assert_every_path_matches_reference(
+            masks, counts, restricted, positive_mask, negative_masks
         )
-        expected = [
-            _reference_prune_counts(snapshot, candidate, positive_mask, negative_masks)
-            for candidate in candidate_types
-        ]
-        assert got == expected
 
     @SETTINGS
     @given(
         inputs=kernel_inputs(mask_strategy=WIDE_MASKS),
         candidate_types=st.lists(WIDE_MASKS, min_size=0, max_size=6),
     )
-    def test_prune_counts_wide_masks_fall_back_exactly(self, inputs, candidate_types):
+    def test_prune_counts_wide_masks_stay_exact(self, inputs, candidate_types):
         masks, counts, positive_mask, negative_masks = inputs
-        snapshot = list(zip(masks, counts, strict=True))
         restricted = [candidate & positive_mask for candidate in candidate_types]
-        got = prune_counts_batch(
-            masks, counts, restricted, positive_mask, negative_masks, backend="numpy"
+        _assert_every_path_matches_reference(
+            masks, counts, restricted, positive_mask, negative_masks
         )
-        expected = [
-            _reference_prune_counts(snapshot, candidate, positive_mask, negative_masks)
-            for candidate in candidate_types
-        ]
-        assert got == expected
 
     @SETTINGS
     @given(
@@ -197,25 +217,12 @@ class TestBatchKernels:
         candidate_types=st.lists(NARROW_MASKS, min_size=1, max_size=8),
     )
     def test_unrestricted_candidates_score_as_restricted(self, inputs, candidate_types):
-        # Bits outside M must not change a score on any of the three paths:
-        # pure Python, row-blocked numpy and bit-sliced numpy.
+        # Bits outside M must not change a score on any path: row-blocked,
+        # bit-sliced and the object lane.
         masks, counts, positive_mask, negative_masks = inputs
-        snapshot = list(zip(masks, counts, strict=True))
-        expected = [
-            _reference_prune_counts(snapshot, candidate, positive_mask, negative_masks)
-            for candidate in candidate_types
-        ]
-        paths = [("python", None)]
-        if HAVE_NUMPY:
-            paths += [("numpy", 1 << 62), ("numpy", 0)]
-        for backend, cutoff in paths:
-            with pytest.MonkeyPatch.context() as patch:
-                if cutoff is not None:
-                    patch.setattr(kernels, "_BITSLICE_CELLS", cutoff)
-                got = prune_counts_batch(
-                    masks, counts, candidate_types, positive_mask, negative_masks, backend=backend
-                )
-            assert got == expected, (backend, cutoff)
+        _assert_every_path_matches_reference(
+            masks, counts, candidate_types, positive_mask, negative_masks
+        )
 
     @pytest.mark.parametrize("block_cells", [1, 5, 64])
     @SETTINGS
@@ -227,7 +234,7 @@ class TestBatchKernels:
     def test_prune_counts_across_row_blocks(self, block_cells, inputs, candidate_types, data):
         # Tiny blocks make one call span several blocks with a ragged last
         # one; the negatives carry duplicates, members dominated by another
-        # negative and members that differ only outside M, which the numpy
+        # negative and members that differ only outside M, which every
         # path drops by testing only the antichain of {n ∩ M}.
         masks, counts, positive_mask, negative_masks = inputs
         negatives = list(negative_masks)
@@ -236,23 +243,16 @@ class TestBatchKernels:
             negatives.append(neg & data.draw(NARROW_MASKS))
             negatives.append(neg ^ (data.draw(NARROW_MASKS) & ~positive_mask))
         negatives = data.draw(st.permutations(negatives))
-        snapshot = list(zip(masks, counts, strict=True))
         restricted = [candidate & positive_mask for candidate in candidate_types]
-        expected = [
-            _reference_prune_counts(snapshot, candidate, positive_mask, negatives)
-            for candidate in candidate_types
-        ]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernels, "_BLOCK_CELLS", block_cells)
-            for backend in available_backends():
-                got = prune_counts_batch(
-                    masks, counts, restricted, positive_mask, negatives, backend=backend
-                )
-                assert got == expected, backend
+            _assert_every_path_matches_reference(
+                masks, counts, restricted, positive_mask, negatives
+            )
 
 
 class TestPruneCountsLimits:
-    """The lookahead kernel's float sums and memory stay within their bounds."""
+    """The lookahead kernel's sums stay exact and its memory bounded."""
 
     @pytest.mark.parametrize(
         "counts",
@@ -261,48 +261,41 @@ class TestPruneCountsLimits:
             [(1 << 52) + 1, (1 << 52) - 1],  # sums to exactly 2⁵³
             [(1 << 53) + 1, 2, 3],  # 2⁵³ + 1 is not a float64
             [(1 << 61) + 1, (1 << 61) - 1, 7],  # near the int64 lane's limit
+            [(1 << 62) + 1, 1 << 62, 7],  # sums past 2⁶³: the object lane
+            [(1 << 64) + 5, (1 << 63) - 1, 3],  # counts past the int64 lane
         ],
     )
     def test_counts_past_the_exact_float_range(self, counts):
         masks = [0b0111, 0b1011, 0b1101][: len(counts)]
         positive_mask, negative_masks = 0b1111, [0b0011, 0b0101]
         candidate_types = [0b0001, 0b0011, 0b0111, 0b1111, 0b1010]
-        snapshot = list(zip(masks, counts, strict=True))
         restricted = [candidate & positive_mask for candidate in candidate_types]
-        expected = [
-            _reference_prune_counts(snapshot, candidate, positive_mask, negative_masks)
-            for candidate in candidate_types
-        ]
-        got = prune_counts_batch(
-            masks, counts, restricted, positive_mask, negative_masks, backend="numpy"
+        _assert_every_path_matches_reference(
+            masks, counts, restricted, positive_mask, negative_masks
         )
-        assert got == expected
 
-    @pytest.mark.skipif(
-        not kernels._HAVE_BITWISE_COUNT, reason="the bit-sliced path needs numpy.bitwise_count"
-    )
     @SETTINGS
     @given(
         inputs=kernel_inputs(),
         offsets=st.lists(st.integers(min_value=-(1 << 20), max_value=1 << 20), max_size=10),
         candidate_types=st.lists(NARROW_MASKS, min_size=1, max_size=6),
+        base=st.sampled_from((1 << 55, 1 << 63)),
     )
-    def test_counts_near_2_55_take_the_exact_bit_sliced_path(
-        self, inputs, offsets, candidate_types
+    def test_large_counts_take_the_exact_bit_sliced_path(
+        self, inputs, offsets, candidate_types, base
     ):
         # Counts around 2⁵⁵ sum past 2⁵³ (no float64 sum is exact there) but
-        # stay inside the int64 lane: however small the call, the bit-sliced
-        # kernel takes it and its popcount sums match the reference exactly.
+        # stay inside the int64 lane; counts around 2⁶³ sum past it.  Either
+        # way, however small the call, the bit-sliced kernel takes it and its
+        # popcount sums match the reference exactly.
         masks, _, positive_mask, negative_masks = inputs
         masks = masks[: len(offsets)]
         if not masks:
             return
-        counts = [(1 << 55) + offset for offset in offsets[: len(masks)]]
-        snapshot = list(zip(masks, counts, strict=True))
-        expected = [
-            _reference_prune_counts(snapshot, candidate, positive_mask, negative_masks)
-            for candidate in candidate_types
-        ]
+        counts = [base + offset for offset in offsets[: len(masks)]]
+        expected = _reference_batch(
+            masks, counts, candidate_types, positive_mask, negative_masks
+        )
         taken = []
         with pytest.MonkeyPatch.context() as patch:
             kernel = kernels._np_bitsliced_prune_counts
@@ -313,67 +306,48 @@ class TestPruneCountsLimits:
             )
             patch.setattr(kernels, "_np_prune_counts", _never_called)
             got = prune_counts_batch(
-                masks, counts, candidate_types, positive_mask, negative_masks, backend="numpy"
+                masks, counts, candidate_types, positive_mask, negative_masks
             )
-            assert taken == ["bit-sliced"]
-            assert got == expected
-            # Without bitwise_count the same call takes the pure-Python path.
-            patch.setattr(kernels, "_HAVE_BITWISE_COUNT", False)
-            patch.setattr(kernels, "_np_bitsliced_prune_counts", _never_called)
-            assert prune_counts_batch(
-                masks, counts, candidate_types, positive_mask, negative_masks, backend="numpy"
-            ) == expected
+        assert taken == ["bit-sliced"]
+        assert got == expected
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="bounds the numpy path's memory")
     def test_large_call_memory_stays_bounded(self):
         # A 1500 × 1500 call: one int64 K×I temporary alone would take 18 MB.
         args = _large_call()
         tracemalloc.start()
         try:
-            prune_counts_batch(*args, backend="numpy")
+            prune_counts_batch(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4 * 1024 * 1024, f"peak {peak / 2**20:.1f} MB"
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="compares two numpy paths")
-    def test_numpy_without_bitwise_count(self):
-        # numpy before 2.0 has no bitwise_count: every call, however large,
-        # keeps the row-blocked path and must give the same answer.
-        args = _large_call()
-        expected = prune_counts_batch(*args, backend="numpy")
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kernels, "_HAVE_BITWISE_COUNT", False)
-            patch.setattr(kernels, "_np_bitsliced_prune_counts", _never_called)
-            assert prune_counts_batch(*args, backend="numpy") == expected
-
-
-#: Masks up to bit 61, the widest the numpy kernels take.
-LANE_MASKS = st.integers(min_value=0, max_value=(1 << 62) - 1)
-
 
 @st.composite
-def bitslice_inputs(draw):
+def bitslice_inputs(draw, top: int = 61):
     """Lookahead calls shaped for the bit-sliced kernel's edge cases.
 
-    ``M`` has no atom, 1–8 atoms (one chunk) or 9–62 atoms spread over bits
-    0–61, always including bit 61; I runs to 150 types, so the type bitsets
-    span one to three words, the last one mostly partial; counts reach 2⁴⁰
-    (many bit planes) and may be zero; the negatives carry duplicates,
-    members dominated under ``M`` and members that differ only outside it.
+    ``M`` has no atom, 1–8 atoms (one chunk) or 9 or more atoms spread over
+    bits 0–``top``, always including bit ``top`` (61, the int64 lane's last
+    bit, or 69 on the object lane); I runs to 150 types, so the type
+    bitsets span one to three words, the last one mostly partial; counts
+    reach 2⁴⁰ (many bit planes) and may be zero; the negatives carry
+    duplicates, members dominated under ``M`` and members that differ only
+    outside it.
     """
+    lane_masks = st.integers(min_value=0, max_value=(1 << (top + 1)) - 1)
     atoms = draw(
         st.one_of(
             st.just([]),
-            st.lists(st.integers(min_value=0, max_value=61), min_size=1, max_size=8, unique=True),
+            st.lists(st.integers(min_value=0, max_value=top), min_size=1, max_size=8, unique=True),
             st.lists(
-                st.integers(min_value=0, max_value=60), min_size=8, max_size=61, unique=True
-            ).map(lambda atoms: [*atoms, 61]),
+                st.integers(min_value=0, max_value=top - 1), min_size=8, max_size=top, unique=True
+            ).map(lambda atoms: [*atoms, top]),
         )
     )
     positive_mask = sum(1 << atom for atom in atoms)
     num_types = draw(st.integers(min_value=1, max_value=150))
-    masks = draw(st.lists(LANE_MASKS, min_size=num_types, max_size=num_types, unique=True))
+    masks = draw(st.lists(lane_masks, min_size=num_types, max_size=num_types, unique=True))
     counts = draw(
         st.lists(
             st.integers(min_value=0, max_value=1 << 40), min_size=len(masks), max_size=len(masks)
@@ -382,13 +356,13 @@ def bitslice_inputs(draw):
     # Candidates drawn around the types, so that c ⊆ r and r ∩ M ⊆ c both
     # hold for some pairs; candidates keep their bits outside M.
     candidates = [
-        draw(st.sampled_from(masks)) & draw(LANE_MASKS) | draw(st.sampled_from((0, positive_mask)))
+        draw(st.sampled_from(masks)) & draw(lane_masks) | draw(st.sampled_from((0, positive_mask)))
         for _ in range(draw(st.integers(min_value=1, max_value=12)))
     ]
     negatives = []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        neg = draw(st.sampled_from(masks)) | draw(LANE_MASKS) & draw(LANE_MASKS)
-        negatives += [neg, neg, neg & draw(LANE_MASKS), neg ^ (draw(LANE_MASKS) & ~positive_mask)]
+        neg = draw(st.sampled_from(masks)) | draw(lane_masks) & draw(lane_masks)
+        negatives += [neg, neg, neg & draw(lane_masks), neg ^ (draw(lane_masks) & ~positive_mask)]
     negatives = draw(st.permutations(negatives))
     return masks, counts, candidates, positive_mask, negatives
 
@@ -398,7 +372,7 @@ class TestTypeGroups:
 
     @SETTINGS
     @given(inputs=kernel_inputs(), data=st.data())
-    def test_groups_match_a_dict_on_lists_and_arrays(self, inputs, data):
+    def test_groups_match_a_dict_on_both_lanes(self, inputs, data):
         masks, counts, positive_mask, _ = inputs
         members: dict[int, list[int]] = {}
         totals: dict[int, int] = {}
@@ -408,13 +382,9 @@ class TestTypeGroups:
         chosen = data.draw(st.lists(st.integers(min_value=0, max_value=len(totals))))
         chosen = [group for group in chosen if group < len(totals)]
         restricted = sorted(totals)
-        snapshots = [(masks, counts)]
-        if HAVE_NUMPY:
-            import numpy
-
-            snapshots.append(tuple(numpy.asarray(column, dtype=numpy.int64) for column in (masks, counts)))
-        for snapshot_masks, snapshot_counts in snapshots:
-            groups = kernels.TypeGroups(snapshot_masks, snapshot_counts, positive_mask)
+        for lane in (numpy.int64, object):
+            snapshot = [numpy.asarray(column, dtype=lane) for column in (masks, counts)]
+            groups = kernels.TypeGroups(*snapshot, positive_mask)
             assert len(groups) == len(restricted)
             assert list(groups.restricted) == restricted
             assert groups.totals() == [totals[key] for key in restricted]
@@ -432,7 +402,8 @@ class TestTypeGroups:
     )
     def test_score_levels_rank_every_position_once(self, pairs, scale):
         # A coarse score, so that distinct pairs share levels; counts near
-        # 2⁴⁰ make the pair keys overflow int64, which lists the columns.
+        # 2⁴⁰ make the pair keys overflow int64, which keys them as Python
+        # ints instead.
         pairs = [(a * scale, b * scale) for a, b in pairs]
 
         def value(a: int, b: int) -> float:
@@ -442,40 +413,37 @@ class TestTypeGroups:
         for level in sorted({value(*pair) for pair in pairs}, reverse=True):
             expected.append([i for i, pair in enumerate(pairs) if value(*pair) == level])
         columns = [[a for a, _ in pairs], [b for _, b in pairs]]
-        assert list(kernels.score_levels(*columns, value)) == expected
-        if HAVE_NUMPY and pairs:
-            import numpy
-
-            arrays = [numpy.asarray(column, dtype=numpy.int64) for column in columns]
+        for lane in (numpy.int64, object):
+            arrays = [numpy.asarray(column, dtype=lane) for column in columns]
             assert list(kernels.score_levels(*arrays, value)) == expected
 
 
-@pytest.mark.skipif(
-    not kernels._HAVE_BITWISE_COUNT, reason="the bit-sliced path needs numpy.bitwise_count"
-)
 class TestBitSlicedKernel:
     """The bit-sliced lookahead kernel ≡ the reference, on every call shape."""
 
     @pytest.mark.parametrize("block_words", [1, 3, None])
+    @pytest.mark.parametrize("lane", ["int64", "object"])
     @SETTINGS
-    @given(inputs=bitslice_inputs())
-    def test_forced_path_matches_reference(self, block_words, inputs):
-        masks, counts, candidates, positive_mask, negatives = inputs
-        snapshot = list(zip(masks, counts, strict=True))
-        expected = [
-            _reference_prune_counts(snapshot, candidate, positive_mask, negatives)
-            for candidate in candidates
-        ]
-        args = (masks, counts, candidates, positive_mask, negatives)
-        assert prune_counts_batch(*args, backend="python") == expected
+    @given(data=st.data())
+    def test_forced_path_matches_reference(self, block_words, lane, data):
+        # The int64 lane reaches bit 61; the object lane, given object
+        # arrays, bit 69, and takes the bit-sliced kernel at any size.
+        masks, counts, candidates, positive_mask, negatives = data.draw(
+            bitslice_inputs(top=61 if lane == "int64" else 69)
+        )
+        expected = _reference_batch(masks, counts, candidates, positive_mask, negatives)
+        if lane == "object":
+            masks, candidates = (numpy.asarray(column, dtype=object) for column in (masks, candidates))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kernels, "_BITSLICE_CELLS", 0)
+            if lane == "int64":
+                patch.setattr(kernels, "_BITSLICE_CELLS", 0)
             patch.setattr(kernels, "_np_prune_counts", _never_called)
             if block_words is not None:
                 # Row blocks of one and three words: several blocks per call,
                 # the last one short.
                 patch.setattr(kernels, "_BITSLICE_BLOCK_WORDS", block_words)
-            assert prune_counts_batch(*args, backend="numpy") == expected
+            got = prune_counts_batch(masks, counts, candidates, positive_mask, negatives)
+        assert got == expected
 
     @pytest.mark.parametrize(
         ("num_candidates", "num_types", "path"),
@@ -492,24 +460,18 @@ class TestBitSlicedKernel:
         counts = [rng.randint(0, 5) for _ in masks]
         candidates = [rng.choice(masks) & rng.getrandbits(20) for _ in range(num_candidates)]
         negatives = [rng.getrandbits(20) for _ in range(4)]
-        snapshot = list(zip(masks, counts, strict=True))
-        expected = [
-            _reference_prune_counts(snapshot, candidate, positive_mask, negatives)
-            for candidate in candidates
-        ]
+        expected = _reference_batch(masks, counts, candidates, positive_mask, negatives)
         taken = []
         with pytest.MonkeyPatch.context() as patch:
             kernel = getattr(kernels, path)
             patch.setattr(kernels, path, lambda *args: taken.append(path) or kernel(*args))
-            got = prune_counts_batch(
-                masks, counts, candidates, positive_mask, negatives, backend="numpy"
-            )
+            got = prune_counts_batch(masks, counts, candidates, positive_mask, negatives)
         assert taken == [path]
         assert got == expected
 
 
 # --------------------------------------------------------------------------- #
-# The two TypeTable implementations stay in lock-step
+# The type table on both lanes
 # --------------------------------------------------------------------------- #
 def _table_observables(table, masks):
     return (
@@ -534,9 +496,7 @@ def _random_table_ops(tables, masks, ops):
                 )
                 for table in tables
             ]
-            assert all(flip == flips[0] for flip in flips), (
-                "backends reported different flips"
-            )
+            assert all(flip == flips[0] for flip in flips), "lanes reported different flips"
         elif action == "decrement":
             decrementable = [mask for mask in masks if tables[0].unlabeled_of(mask) > 0]
             if not decrementable:
@@ -552,13 +512,14 @@ def _random_table_ops(tables, masks, ops):
 
 
 class TestTypeTableEquivalence:
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="requires the numpy backend")
     @SETTINGS
     @given(
         masks=st.lists(NARROW_MASKS, min_size=1, max_size=10, unique=True),
         sizes_seed=st.data(),
     )
-    def test_python_and_numpy_tables_agree(self, masks, sizes_seed):
+    def test_int64_and_object_lane_tables_agree(self, masks, sizes_seed):
+        # The same masks in a 62-atom universe (int64 lane) and a 70-atom
+        # one (object lane) must stay observationally identical.
         sizes = sizes_seed.draw(
             st.lists(
                 st.integers(min_value=0, max_value=20),
@@ -566,25 +527,27 @@ class TestTypeTableEquivalence:
                 max_size=len(masks),
             )
         )
-        py_table = make_type_table(masks, sizes, backend="python")
-        np_table = make_type_table(masks, sizes, backend="numpy")
-        assert type(py_table) is not type(np_table)
-        tables = _random_table_ops([py_table, np_table], masks, sizes_seed)
+        tables = [make_type_table(masks, sizes, width) for width in LANE_WIDTHS]
+        assert [table.informative_arrays()[0].dtype for table in tables] == [
+            numpy.int64,
+            object,
+        ]
+        tables = _random_table_ops(tables, masks, sizes_seed)
         observables = {
             (tuple(c), tuple(u), tuple(items), count, has)
             for c, u, items, count, has in (
                 _table_observables(table, masks) for table in tables
             )
         }
-        assert len(observables) == 1, "backends diverged after the op sequence"
+        assert len(observables) == 1, "lanes diverged after the op sequence"
 
     @SETTINGS
     @given(
         masks=st.lists(NARROW_MASKS, min_size=1, max_size=8, unique=True),
         data=st.data(),
-        backend=st.sampled_from(available_backends()),
+        width=st.sampled_from(LANE_WIDTHS),
     )
-    def test_copy_on_write_isolation(self, masks, data, backend):
+    def test_copy_on_write_isolation(self, masks, data, width):
         sizes = data.draw(
             st.lists(
                 st.integers(min_value=1, max_value=10),
@@ -592,7 +555,7 @@ class TestTypeTableEquivalence:
                 max_size=len(masks),
             )
         )
-        table = make_type_table(masks, sizes, backend=backend)
+        table = make_type_table(masks, sizes, width)
         positive_mask = data.draw(NARROW_MASKS)
         negative_masks = data.draw(st.lists(NARROW_MASKS, min_size=0, max_size=3))
         table.refresh_certain(positive_mask, negative_masks)
@@ -613,14 +576,14 @@ class TestTypeTableEquivalence:
     @given(
         inputs=kernel_inputs(),
         candidate_types=st.lists(NARROW_MASKS, min_size=0, max_size=8),
-        backend=st.sampled_from(available_backends()),
+        width=st.sampled_from(LANE_WIDTHS),
     )
     def test_prune_counts_informative_matches_reference(
-        self, inputs, candidate_types, backend
+        self, inputs, candidate_types, width
     ):
         masks, sizes, positive_mask, negative_masks = inputs
         _assert_table_scores_like_reference(
-            make_type_table(masks, sizes, backend=backend),
+            make_type_table(masks, sizes, width),
             masks, sizes, positive_mask, negative_masks, candidate_types,
         )
 
@@ -631,15 +594,27 @@ class TestTypeTableEquivalence:
         ),
         candidate_types=st.lists(WIDE_MASKS, min_size=0, max_size=6),
     )
-    def test_wide_masks_fall_back_to_pure_python_table(self, inputs, candidate_types):
-        # Masks past bit 62 cannot ride the int64 lane: a numpy request must
-        # build the pure-Python table, with the same answers.
+    def test_wide_masks_take_the_object_lane(self, inputs, candidate_types):
+        # Masks past bit 62 cannot ride the int64 lane: a 70-atom table
+        # keeps them as Python ints, with the same answers.
         masks, sizes, positive_mask, negative_masks = inputs
-        table = make_type_table(masks, sizes, backend="numpy")
-        assert type(table).__name__ == "PyTypeTable"
+        table = make_type_table(masks, sizes, 70)
+        assert table.informative_arrays()[0].dtype == object
         _assert_table_scores_like_reference(
             table, masks, sizes, positive_mask, negative_masks, candidate_types
         )
+
+    def test_lane_follows_the_universe_not_the_masks(self):
+        # Every type of a 64-atom universe may hold only atoms below bit 62
+        # while M = Ω holds bit 63: the lane comes from the width, so the
+        # refresh against M stays exact.
+        masks, sizes = [0b0110, 0b0011, 0b1001], [2, 3, 4]
+        table = make_type_table(masks, sizes, 64)
+        assert table.informative_arrays()[0].dtype == object
+        full = (1 << 64) - 1
+        assert table.refresh_certain(full, []) == ([], [])
+        assert table.refresh_certain(0b0111, [0b0001]) == ([], [0b1001])
+        assert table.informative_items() == [(0b0110, 2), (0b0011, 3)]
 
 
 def _assert_table_scores_like_reference(
@@ -667,7 +642,7 @@ def _assert_table_scores_like_reference(
 
 
 # --------------------------------------------------------------------------- #
-# End-to-end: inference over both backends, byte-identical
+# End-to-end: inference on both lanes, byte-identical
 # --------------------------------------------------------------------------- #
 @st.composite
 def candidate_tables(draw, max_columns: int = 4, max_rows: int = 10) -> CandidateTable:
@@ -732,10 +707,20 @@ def _propagation_signature(result):
 
 
 def _run_label_sequence(table: CandidateTable, script: list[tuple[int, bool]]):
-    """Replay one label script per backend; return the per-step observables."""
-    per_backend = []
-    for backend in available_backends():
-        with use_backend(backend):
+    """Replay one label script per lane; return the per-step observables.
+
+    The object-lane run builds every type table as if the universe were 70
+    atoms wide, over the same masks.
+    """
+    per_lane = []
+    for width in (None, 70):
+        with pytest.MonkeyPatch.context() as patch:
+            if width is not None:
+                patch.setattr(
+                    informativeness,
+                    "make_type_table",
+                    lambda masks, sizes, _width, width=width: make_type_table(masks, sizes, width),
+                )
             state = InferenceState(table)
             steps = [_state_observables(state)]
             for index, positive in script:
@@ -753,10 +738,11 @@ def _run_label_sequence(table: CandidateTable, script: list[tuple[int, bool]]):
                 except InconsistentLabelError:
                     steps.append("rejected")
                 steps.append(_state_observables(state))
+            lane = state._cache.kernel_table.informative_arrays()[0].dtype
             # The scalar classification reference must agree with the final state.
             assert state.statuses() == classify_all(state.space, state.examples)
-            per_backend.append((backend, steps))
-    return per_backend
+        per_lane.append((str(lane), steps))
+    return per_lane
 
 
 LABEL_SCRIPTS = st.lists(
@@ -766,19 +752,17 @@ LABEL_SCRIPTS = st.lists(
 )
 
 
-class TestEndToEndBackendEquivalence:
+class TestEndToEndLaneEquivalence:
     @SETTINGS
     @given(table=candidate_tables(), script=LABEL_SCRIPTS)
     def test_flat_tables_with_null_and_nan_cells(self, table, script):
-        runs = _run_label_sequence(table, script)
-        reference_backend, reference = runs[0]
-        for backend, steps in runs[1:]:
-            assert steps == reference, f"{backend} diverged from {reference_backend}"
+        (int64_lane, reference), (object_lane, steps) = _run_label_sequence(table, script)
+        assert (int64_lane, object_lane) == ("int64", "object")
+        assert steps == reference
 
     @SETTINGS
     @given(table=sampled_tables(), script=LABEL_SCRIPTS)
     def test_sampled_cross_products(self, table, script):
-        runs = _run_label_sequence(table, script)
-        reference_backend, reference = runs[0]
-        for backend, steps in runs[1:]:
-            assert steps == reference, f"{backend} diverged from {reference_backend}"
+        (int64_lane, reference), (object_lane, steps) = _run_label_sequence(table, script)
+        assert (int64_lane, object_lane) == ("int64", "object")
+        assert steps == reference
