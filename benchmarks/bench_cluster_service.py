@@ -28,6 +28,11 @@ change — same inference, same wire protocol, more cores.  Two gates:
    byte-identical to an undisturbed single-process run — the fault gate of
    the fault-tolerant cluster work.
 
+Both modes also report the cluster's ``startup_s`` (construction plus
+``register_table``), and ``--chaos`` its ``respawn_ms`` (from the kill to
+the first successful reply from the respawned shard); these are recorded,
+not gated.
+
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_cluster_service.py           # full gates
@@ -288,8 +293,10 @@ def measure_throughput(num_sessions: int, workers: int, size: int) -> dict:
     single_wall, single_ok = asyncio.run(
         _run_concurrent(SessionService(), num_sessions, workers, workload)
     )
+    started = time.perf_counter()
     with ClusterSessionService(num_workers=workers) as cluster:
         cluster.register_table(workload.table)
+        startup = time.perf_counter() - started
         cluster_wall, cluster_ok = asyncio.run(
             _run_concurrent(cluster, num_sessions, workers, workload)
         )
@@ -300,6 +307,7 @@ def measure_throughput(num_sessions: int, workers: int, size: int) -> dict:
         "single_wall": single_wall,
         "cluster_wall": cluster_wall,
         "speedup": single_wall / cluster_wall,
+        "startup_s": startup,
         "single_ok": single_ok,
         "cluster_ok": cluster_ok,
     }
@@ -315,6 +323,10 @@ def run_chaos(num_sessions: int, workers: int, seed: int) -> dict:
     of the expected total labels is in — real mid-run machine loss, not a
     quiesced kill.  Per-session wire traces are then compared against
     undisturbed single-process baselines.
+
+    Also measured, not gated: ``startup_s`` and ``respawn_ms``, the latter
+    up to the first successful reply from the victim's shard to a command
+    begun after the kill returned.
     """
     workload = figure1_workload("q1")
     oracle = GoalQueryOracle(workload.goal)
@@ -343,22 +355,40 @@ def run_chaos(num_sessions: int, workers: int, seed: int) -> dict:
     errors: list[str] = []
     kills = [0]
     stop_killer = threading.Event()
+    # (kill sent, kill returned); then when the respawned shard first replied.
+    kill_window: list[tuple[float, float] | None] = [None]
+    first_reply: list[float] = []
 
+    started = time.perf_counter()
     with ClusterSessionService(num_workers=workers, heartbeat_interval=0.5) as cluster:
         fingerprint = cluster.register_table(workload.table)
+        startup = time.perf_counter() - started
         sids = [
             cluster.create(fingerprint, **CHAOS_KINDS[i % len(CHAOS_KINDS)]).session_id
             for i in range(num_sessions)
         ]
 
+        def note_reply(session_id: str, begun: float) -> None:
+            window = kill_window[0]
+            if window is None or begun < window[1]:
+                return
+            if cluster.worker_index(session_id) == victim:
+                replied = time.perf_counter()
+                with progress_lock:
+                    if not first_reply:
+                        first_reply.append(replied)
+
         def drive(slot: int, session_id: str) -> None:
             events: list[dict] = []
             try:
                 while True:
+                    begun = time.perf_counter()
                     event = cluster.next_question(session_id)
+                    note_reply(session_id, begun)
                     events.append(event_to_wire(event))
                     if isinstance(event, Converged):
                         break
+                    begun = time.perf_counter()
                     if isinstance(event, QuestionAsked):
                         batch = [
                             cluster.answer(
@@ -371,6 +401,7 @@ def run_chaos(num_sessions: int, workers: int, seed: int) -> dict:
                             for tid in event.tuple_ids
                         ]
                         batch = cluster.answer_many(session_id, answers)
+                    note_reply(session_id, begun)
                     events.extend(event_to_wire(applied) for applied in batch)
                     with progress_lock:
                         progress[0] += len(batch)
@@ -383,7 +414,9 @@ def run_chaos(num_sessions: int, workers: int, seed: int) -> dict:
                 with progress_lock:
                     done = progress[0]
                 if done >= threshold:
+                    sent = time.perf_counter()
                     cluster.kill_worker(victim)
+                    kill_window[0] = (sent, time.perf_counter())
                     kills[0] += 1
                     return
                 time.sleep(0.001)
@@ -421,6 +454,10 @@ def run_chaos(num_sessions: int, workers: int, seed: int) -> dict:
         "throughput": num_sessions / wall,
         "kills": kills[0],
         "respawns": respawns,
+        "startup_s": startup,
+        "respawn_ms": (
+            1e3 * (first_reply[0] - kill_window[0][0]) if first_reply else None
+        ),
         "mismatches": mismatches,
     }
 
@@ -471,6 +508,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"({stats['kills']} kill(s) fired)"
         )
         print(f"respawns:   {stats['respawns']} worker generation(s) replaced")
+        print(f"startup:    {stats['startup_s']:.3f}s (construction + register_table)")
+        if stats["respawn_ms"] is not None:
+            print(f"respawn:    {stats['respawn_ms']:.1f}ms from the kill to the shard's next reply")
         print(f"wall:       {stats['wall']:.3f}s ({stats['throughput']:.1f} sessions/s)")
         mismatches = stats.pop("mismatches")
         if mismatches:
@@ -530,6 +570,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(f"single-process wall: {stats['single_wall']:.3f}s ({stats['single_ok']} converged to goal)")
     print(f"cluster wall:        {stats['cluster_wall']:.3f}s ({stats['cluster_ok']} converged to goal)")
     print(f"speedup:             {stats['speedup']:.2f}x")
+    print(f"cluster startup:     {stats['startup_s']:.3f}s (construction + register_table)")
 
     if stats["single_ok"] != num_sessions or stats["cluster_ok"] != num_sessions:
         print("FAIL: not every session converged to the goal query")

@@ -20,9 +20,10 @@ Design
   length-prefixed JSON framing of :mod:`repro.service.transport` — commands
   in, ``{"status": "ok"/"error", …}`` replies out, wire forms shared with
   the worker loop via :mod:`repro.service.wire`.  Three backends speak the
-  identical protocol: ``"process"`` (spawned local processes that dial back
-  to the supervisor's listener — the default), ``"thread"`` (in-process
-  worker loops over socketpairs: no spawn cost, no multi-core speedup;
+  identical protocol: ``"process"`` (local processes, forked from one
+  pre-imported template process per cluster, that dial back to the
+  supervisor's listener — the default), ``"thread"`` (in-process worker
+  loops over socketpairs: no process start, no multi-core speedup;
   ideal for tests and fault injection), and ``"external"`` (the supervisor
   only listens; start workers anywhere with ``python -m repro.service.worker
   --connect HOST:PORT --token TOKEN``).
@@ -75,6 +76,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import threading
 import time
 import uuid
@@ -101,7 +103,7 @@ from .transport import (
     TransportError,
     framed_pair,
 )
-from .worker import HELLO_KIND, serve_connection, worker_entry
+from .worker import HELLO_KIND, serve_connection, template_entry
 from .wire import (
     ClusterServiceError,
     ClusterWorkerError,
@@ -131,7 +133,8 @@ DEFAULT_WORKERS = max(1, min(8, os.cpu_count() or 1))
 DEFAULT_HEARTBEAT_INTERVAL = 2.0
 #: How long a heartbeat ping may take before the worker counts as dead.
 DEFAULT_HEARTBEAT_TIMEOUT = 10.0
-#: How long a spawned/external worker gets to dial in before start-up fails.
+#: How long a started or external worker gets to dial in before start-up
+#: fails (and how long the worker template may take to answer a request).
 DEFAULT_START_TIMEOUT = 30.0
 
 _BACKENDS = ("process", "thread", "external")
@@ -153,7 +156,7 @@ class _WorkerSlot:
         self.index = index
         self.lock = threading.RLock()
         self.conn: FramedConnection | None = None
-        self.runner: object | None = None  # Process, Thread, or None (external)
+        self.runner: object | None = None  # _ForkedWorker, Thread, or None (external)
         self.pid: int | None = None
         self.generation = 0
 
@@ -170,6 +173,186 @@ class _WorkerSlot:
         return reply
 
 
+class _WorkerTemplate:
+    """The process backend's worker factory: one pre-imported process that forks.
+
+    The template is started once per cluster with the cluster's
+    ``mp_context`` and runs :func:`~repro.service.worker.template_entry`,
+    so it imports the worker module (numpy included) once; every worker,
+    initial or respawned, is then an ``os.fork()`` of it requested over a
+    private framed pipe.  A cluster pays one interpreter start-up, and a
+    respawn costs a fork.  A template found dead is started again by the
+    next :meth:`fork`.
+
+    This is not the stdlib ``forkserver`` start method: on Python 3.11 its
+    preload ignores the parent's ``sys.path`` (``forkserver.main`` never
+    applies the ``sys_path``/``main_path`` it is sent), so where the package
+    is on ``sys.path`` by hand rather than installed, preloading this module
+    fails silently and every worker imports numpy again.
+
+    Calls over the pipe are serialized: recoveries on different slots may
+    launch workers concurrently.
+    """
+
+    def __init__(self, context: multiprocessing.context.BaseContext, timeout: float) -> None:
+        self._context = context
+        self._timeout = timeout
+        self._lock = threading.Lock()
+        self._process: multiprocessing.process.BaseProcess | None = None
+        self._control: FramedConnection | None = None
+        self._stopped = False
+
+    def fork(self, address: tuple[str, int], token: str, max_frame_bytes: int) -> _ForkedWorker:
+        """Fork one worker that dials ``address`` with ``token``.
+
+        Raises :class:`ConnectionClosedError` when the template dies before
+        answering (the next call starts a new one) and
+        :class:`ClusterServiceError` when the fork itself fails.
+        """
+        with self._lock:
+            if self._stopped:
+                raise ClusterServiceError("the cluster session service is shut down")
+            if self._process is None or not self._process.is_alive():
+                self._discard_locked()
+                self._start_locked()
+            process = self._process
+            reply = self._call_locked(
+                {
+                    "cmd": "fork",
+                    "address": list(address),
+                    "token": token,
+                    "max_frame_bytes": max_frame_bytes,
+                }
+            )
+        pid = reply.get("pid")
+        if not isinstance(pid, int):
+            raise ClusterServiceError(f"the worker template could not fork: {reply.get('error')}")
+        return _ForkedWorker(self, process, pid)
+
+    def stop(self, timeout: float) -> None:
+        """Close the pipe and join the template, which kills and reaps its workers."""
+        with self._lock:
+            self._stopped = True
+            self._discard_locked(timeout)
+
+    def ask(self, worker: _ForkedWorker, command: str) -> dict[str, object] | None:
+        """Send ``command`` about one worker to the template that forked it.
+
+        ``None`` once that template is gone.
+        """
+        with self._lock:
+            if worker.template_process is not self._process:
+                return None
+            try:
+                return self._call_locked({"cmd": command, "pid": worker.pid})
+            except ConnectionClosedError:
+                return None
+
+    def _start_locked(self) -> None:
+        control, template_end = framed_pair()
+        try:
+            process = self._context.Process(
+                target=template_entry,
+                args=(template_end, control),
+                name="repro-cluster-template",
+                daemon=True,
+            )
+            process.start()
+            control.settimeout(self._timeout)
+        except BaseException:
+            control.close()
+            raise
+        finally:
+            template_end.close()  # the template holds its own copy
+        self._process, self._control = process, control
+
+    def _call_locked(self, request: dict[str, object]) -> dict[str, object]:
+        try:
+            self._control.send(request)
+            reply = self._control.recv()
+        except TransportError as exc:
+            self._discard_locked()
+            raise ConnectionClosedError(
+                f"the worker template stopped answering ({exc})"
+            ) from exc
+        if not isinstance(reply, dict):
+            self._discard_locked()
+            raise ConnectionClosedError("the worker template sent a non-object reply")
+        return reply
+
+    def _discard_locked(self, timeout: float = 5.0) -> None:
+        """Close the pipe to the current template and join it (killing it if stuck)."""
+        control, process = self._control, self._process
+        self._control = self._process = None
+        if control is not None:
+            control.close()
+        if process is not None:
+            # Polled, not ``join(timeout)``: that waits for the template's
+            # sentinel pipe, which the workers it forked hold open, so a
+            # killed template would look alive while its orphans run.
+            _poll_exit(process.is_alive, timeout)
+            if process.is_alive():  # pragma: no cover - stuck template
+                process.kill()
+            process.join()
+
+
+class _ForkedWorker:
+    """A worker forked by the template: the slice of ``Process`` the supervisor uses."""
+
+    __slots__ = ("_template", "template_process", "pid")
+
+    def __init__(
+        self,
+        template: _WorkerTemplate,
+        template_process: multiprocessing.process.BaseProcess,
+        pid: int,
+    ) -> None:
+        self._template = template
+        self.template_process = template_process
+        self.pid = pid
+
+    def orphaned(self) -> bool:
+        """Whether the worker may have outlived its template.
+
+        A template that exits on its own has reaped every worker it forked;
+        one killed by a signal leaves its workers running, reparented, until
+        their supervisor connection closes.
+        """
+        exitcode = self.template_process.exitcode
+        return exitcode is not None and exitcode < 0
+
+    def kill(self) -> None:
+        """SIGKILL the worker; the live template that forked it also reaps it."""
+        if self._template.ask(self, "kill") is None and self.orphaned():
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+    def is_alive(self) -> bool:
+        reply = self._template.ask(self, "alive")
+        if reply is not None:
+            return bool(reply.get("alive"))
+        if not self.orphaned():
+            return False
+        try:
+            os.kill(self.pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+    def join(self, timeout: float) -> None:
+        """Wait for the worker to exit; an orphan is init's to reap, not ours."""
+        if not self.orphaned():
+            _poll_exit(self.is_alive, timeout)
+
+
+def _poll_exit(alive: Callable[[], bool], timeout: float) -> None:
+    deadline = time.monotonic() + timeout
+    while alive() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 class ClusterSessionService:
     """Shards sessions across N supervised workers behind the `SessionService` API.
 
@@ -179,16 +362,19 @@ class ClusterSessionService:
         How many workers to run (default: one per core, capped at 8).  Each
         runs its own :class:`~repro.service.service.SessionService`.
     mp_context:
-        The :mod:`multiprocessing` start method for ``backend="process"``
-        (default ``"spawn"`` — safe in processes that also run threads or an
-        asyncio loop; pass ``"fork"`` on POSIX for faster start-up when that
-        does not apply).
+        The :mod:`multiprocessing` start method of the one template process
+        that ``backend="process"`` forks every worker from (default
+        ``"spawn"`` — safe in processes that also run threads or an asyncio
+        loop).  Workers are forks of the template whatever the method, so
+        ``"fork"`` no longer starts them faster; it only spares the template
+        re-importing the caller's ``__main__``.
     backend:
-        ``"process"`` (default) spawns local worker processes that dial back
-        to the supervisor's listener; ``"thread"`` runs the worker loops on
-        in-process threads over socketpairs (no spawn cost, no multi-core
-        speedup — for tests, fault injection, and single-core boxes);
-        ``"external"`` only listens — start workers on any machine with
+        ``"process"`` (default) forks local worker processes from the
+        cluster's template process; they dial back to the supervisor's
+        listener.  ``"thread"`` runs the worker loops on in-process threads
+        over socketpairs (no process start, no multi-core speedup — for
+        tests, fault injection, and single-core boxes).  ``"external"`` only
+        listens — start workers on any machine with
         ``python -m repro.service.worker --connect HOST:PORT --token TOKEN``.
         Pass ``listen`` and ``worker_token`` explicitly for external
         clusters: the constructor blocks until every worker has dialled in,
@@ -211,7 +397,9 @@ class ClusterSessionService:
         :class:`~repro.service.wire.WorkerUnavailableError` naming the
         worker.
     start_timeout:
-        How long a (re)spawned or external worker gets to dial in.
+        How long a (re)started or external worker gets to dial in, and how
+        long the worker template may take to answer a request (its first
+        answer waits for its imports).
     connection_wrapper:
         ``(conn, worker_index) -> conn`` applied to every worker connection
         as it is adopted — the fault-injection seam
@@ -229,8 +417,12 @@ class ClusterSessionService:
     :class:`~repro.service.wire.WorkerUnavailableError`.
 
     Use as a context manager (or call :meth:`shutdown`) so the workers exit
-    deterministically; spawned processes are daemonic, so an unclean exit
-    cannot leak them past the parent.
+    deterministically.  Process workers are forked by one template process
+    per cluster, which SIGKILLs and reaps every worker it forked when it is
+    stopped, terminated, or finds its pipe to the supervisor closed; a
+    worker whose template was killed outright still exits when its own
+    connection to the supervisor closes.  So no worker outlives the
+    supervisor.
     """
 
     def __init__(
@@ -254,7 +446,11 @@ class ClusterSessionService:
         if backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
         self._backend = backend
-        self._context = multiprocessing.get_context(mp_context) if backend == "process" else None
+        self._template = (
+            _WorkerTemplate(multiprocessing.get_context(mp_context), start_timeout)
+            if backend == "process"
+            else None
+        )
         self._respawn = bool(respawn)
         self._heartbeat_interval = heartbeat_interval
         self._heartbeat_timeout = heartbeat_timeout
@@ -326,16 +522,21 @@ class ClusterSessionService:
             slot.pid = os.getpid()
             return None
         if self._backend == "process":
-            token = uuid.uuid4().hex
-            process = self._context.Process(
-                target=worker_entry,
-                args=(self._listener.address, token, self._max_frame_bytes),
-                name=f"repro-cluster-{slot.index}",
-                daemon=True,
-            )
-            process.start()
-            slot.runner = process
-            return token
+            # A template that died since the last launch is noticed only when
+            # a request to it fails; the second attempt starts a new one.  A
+            # fresh token per attempt keeps a worker forked just before such
+            # a death from answering for this slot.
+            for _attempt in range(2):
+                token = uuid.uuid4().hex
+                try:
+                    slot.runner = self._template.fork(
+                        self._listener.address, token, self._max_frame_bytes
+                    )
+                except ConnectionClosedError as exc:
+                    failure = exc
+                    continue
+                return token
+            raise ClusterServiceError(f"no worker could be started ({failure})") from failure
         return self._worker_token  # external: the operator starts the worker
 
     def _attach(self, slot: _WorkerSlot, token: str | None) -> None:
@@ -467,9 +668,9 @@ class ClusterSessionService:
             raise error from exc
 
     def _reap(self, slot: _WorkerSlot) -> None:
-        """Collect the previous runner, if any (dead processes leave zombies)."""
+        """Stop the previous runner, if any: kill it if it still runs, then wait."""
         runner = slot.runner
-        if runner is not None and hasattr(runner, "kill"):  # a Process
+        if runner is not None and hasattr(runner, "kill"):  # a forked process
             if runner.is_alive():
                 runner.kill()
             runner.join(timeout=5.0)
@@ -504,12 +705,13 @@ class ClusterSessionService:
     def kill_worker(self, index: int) -> None:
         """Ungracefully kill one worker — the fault-injection and ops hook.
 
-        ``SIGKILL`` for process workers, severing the connection for
-        thread/external ones (their serve loop sees EOF and exits).  Takes
-        no locks: the point is to yank the worker out from under whatever is
-        in flight, exactly like a machine loss.  With ``respawn=True`` the
-        supervision layer absorbs it; with ``respawn=False`` the next
-        command on this shard raises :class:`WorkerUnavailableError`.
+        ``SIGKILL`` for process workers (their template reaps them at once),
+        severing the connection for thread/external ones (their serve loop
+        sees EOF and exits).  Takes no worker lock: the point is to yank the
+        worker out from under whatever is in flight, exactly like a machine
+        loss.  With ``respawn=True`` the supervision layer absorbs it; with
+        ``respawn=False`` the next command on this shard raises
+        :class:`WorkerUnavailableError`.
         """
         slot = self._workers[index]
         runner = slot.runner
@@ -963,6 +1165,8 @@ class ClusterSessionService:
                 slot.conn.close()
         if self._listener is not None:
             self._listener.close()
+        if self._template is not None:
+            self._template.stop(timeout)  # SIGKILLs and reaps its workers
         with self._lock:
             stashes = [entry for stash in self._pending_hellos.values() for entry in stash]
             self._pending_hellos.clear()

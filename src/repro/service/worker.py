@@ -7,8 +7,9 @@ replies back.  The same loop serves all three deployment shapes:
 
 * **in-process** — the cluster's ``backend="thread"`` runs it on a thread
   over a socketpair (:func:`~repro.service.transport.framed_pair`);
-* **local process** — ``backend="process"`` spawns :func:`worker_entry`,
-  which dials back to the supervisor's listener;
+* **local process** — ``backend="process"`` forks each worker from the
+  cluster's template process (:func:`template_entry`), and the fork runs
+  :func:`worker_entry`, which dials back to the supervisor's listener;
 * **remote machine** — ``python -m repro.service.worker --connect HOST:PORT
   --token TOKEN`` joins a cluster built with ``backend="external"`` from
   anywhere the listener is reachable.
@@ -29,17 +30,30 @@ deterministic).
 The hello frame
 ---------------
 A worker's first frame is ``{"hello": "repro-worker", "token": …, "pid": …}``.
-The token — handed out by the supervisor when it spawns (or registers) the
+The token — handed out by the supervisor when it starts (or registers) the
 worker — is how the supervisor matches an inbound connection to the worker
 slot it belongs to; a hello with an unknown token is stashed or dropped, so
 a stray client cannot occupy a slot.
+
+The template process
+--------------------
+Starting a worker as a fresh interpreter costs a full import of numpy and
+this package, so the process backend pays that once per cluster: it starts
+one *template* process (with the cluster's ``mp_context``) that imports
+this module and then forks a worker on each request arriving over a
+private framed pipe — initial and respawned workers alike.  The template
+owns its workers: it reaps them as they die, and when its pipe closes
+(the supervisor stopped it, or went away) it SIGKILLs and reaps every
+worker it forked before exiting.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
+import traceback
 from collections.abc import Sequence
 
 from .service import SessionService
@@ -106,7 +120,7 @@ def worker_entry(
     token: str,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
 ) -> None:
-    """Dial a supervisor, introduce ourselves, and serve.  (Spawn target.)
+    """Dial a supervisor, introduce ourselves, and serve.  (A forked worker's body.)
 
     Retries the dial briefly — the supervisor's listener is bound before any
     worker starts, but a reconnecting external worker may race a supervisor
@@ -120,6 +134,104 @@ def worker_entry(
     ) as conn:
         conn.send({"hello": HELLO_KIND, "token": token, "pid": os.getpid()})
         serve_connection(conn)
+
+
+def template_entry(control: FramedConnection, supervisor_end: FramedConnection) -> None:
+    """Fork workers on request until the supervisor closes its pipe.  (Process target.)
+
+    ``supervisor_end`` is the supervisor's end of the same pipe, closed here
+    at once: a ``fork`` start copies it into the template, and a copy held
+    here would keep the supervisor's close (or death) from ever arriving as
+    EOF.  It is passed explicitly so that this holds for every start method.
+
+    Requests and replies are framed JSON objects: ``{"cmd": "fork",
+    "address", "token", "max_frame_bytes"}`` answers ``{"pid"}`` (or
+    ``{"error"}`` when the fork fails), ``{"cmd": "kill", "pid"}`` SIGKILLs
+    and reaps one of our workers, and ``{"cmd": "alive", "pid"}`` answers
+    ``{"alive"}``; anything else ends the template like EOF does.  Every
+    request first reaps the workers that died since the last one, so a dead
+    worker never reads as alive.  The template
+    starts no threads of its own: a fork copies only the calling thread.
+    """
+    supervisor_end.close()
+    # multiprocessing terminates a daemonic child with SIGTERM at exit;
+    # unwinding through the finally below takes our workers with us.
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    children: set[int] = set()
+    try:
+        while True:
+            try:
+                request = control.recv()
+            except TransportError:
+                break  # the supervisor closed the pipe or is gone
+            if not isinstance(request, dict):
+                break
+            _reap_exited(children)
+            command = request.get("cmd")
+            pid = request.get("pid")
+            if command == "fork":
+                try:
+                    pid = os.fork()
+                except OSError as exc:
+                    reply: dict[str, object] = {"error": f"{type(exc).__name__}: {exc}"}
+                else:
+                    if pid == 0:
+                        _run_forked_worker(control, request)
+                    children.add(pid)
+                    reply = {"pid": pid}
+            elif command == "kill":
+                if pid in children:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    children.discard(pid)
+                reply = {}
+            elif command == "alive":
+                reply = {"alive": pid in children}
+            else:
+                break
+            try:
+                control.send(reply)
+            except TransportError:
+                break
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)  # an unreaped child cannot be gone
+        for pid in children:
+            os.waitpid(pid, 0)
+        control.close()
+
+
+def _exit_on_sigterm(signum: int, frame: object) -> None:
+    raise SystemExit(0)
+
+
+def _reap_exited(children: set[int]) -> None:
+    """Collect the template's workers that have exited since the last call."""
+    for pid in list(children):
+        if os.waitpid(pid, os.WNOHANG)[0]:
+            children.discard(pid)
+
+
+def _run_forked_worker(control: FramedConnection, request: dict) -> None:
+    """The forked child: serve as a worker, then leave without returning.
+
+    ``os._exit`` keeps the child out of the template's loop, its
+    ``finally`` and the interpreter's exit handlers, whatever happens,
+    interrupts included.
+    """
+    status = 1
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        control.close()
+        host, port = request["address"]
+        worker_entry((host, port), request["token"], request["max_frame_bytes"])
+        status = 0
+    except Exception:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

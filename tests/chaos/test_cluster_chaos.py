@@ -12,6 +12,8 @@ the raw ``EOFError``/``BrokenPipeError`` the pipe-era cluster leaked).
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 
 import pytest
@@ -59,6 +61,12 @@ def _drive(service, session_id, table, oracle, limit=None):
                 events.append(event_to_wire(applied))
                 labels += 1
     return events
+
+
+def _parent_pid(pid):
+    """The parent of a live process, from ``/proc/<pid>/stat`` (Linux)."""
+    with open(f"/proc/{pid}/stat") as stat:
+        return int(stat.read().rpartition(")")[2].split()[1])
 
 
 def _baseline(workload, kwargs):
@@ -142,6 +150,32 @@ class TestKillWorker:
             state = cluster.worker_states()[owner]
             assert state["generation"] == 1
             assert state["alive"] and state["pid"] != old_pid
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc (Linux)")
+    def test_template_sigkilled_then_worker_sigkilled_trace_identical(
+        self, workload, oracle
+    ):
+        baseline = _baseline(workload, KINDS[0])
+        with ClusterSessionService(num_workers=2, heartbeat_interval=None) as cluster:
+            fingerprint = cluster.register_table(workload.table)
+            sid = cluster.create(fingerprint, **KINDS[0]).session_id
+            owner = cluster.worker_index(sid)
+            head = _drive(cluster, sid, workload.table, oracle, limit=2)
+            template = _parent_pid(cluster.worker_states()[owner]["pid"])
+            assert template != os.getpid()
+            os.kill(template, signal.SIGKILL)  # the worker template dies first
+            cluster.kill_worker(owner)
+            tail = _drive(cluster, sid, workload.table, oracle)
+            assert head + tail == baseline
+            states = cluster.worker_states()
+            assert states[owner]["generation"] == 1 and states[owner]["alive"]
+            # The respawn relaunched the template: the new worker is a fork
+            # of a new template, itself a child of this process.
+            relaunched = _parent_pid(states[owner]["pid"])
+            assert relaunched not in (template, os.getpid())
+            assert _parent_pid(relaunched) == os.getpid()
+            # The other worker outlived its template and kept its sessions.
+            assert states[1 - owner]["generation"] == 0 and states[1 - owner]["alive"]
 
     def test_save_and_session_ids_survive_a_kill(self, workload, oracle):
         with _thread_cluster() as cluster:

@@ -1,14 +1,17 @@
 """Tests for the multi-process sharded service (`repro.service.cluster`).
 
-Worker processes are slow to spawn, so one 2-worker cluster is shared by the
-whole module (sessions are cheap; the cluster is not).  Async scenarios use
-the plain ``asyncio.run`` helper of the async-service suite.
+Every cluster starts an interpreter (its worker template), so one 2-worker
+cluster is shared by the whole module (sessions are cheap; the cluster is
+not).  Async scenarios use the plain ``asyncio.run`` helper of the
+async-service suite.
 """
 
 from __future__ import annotations
 
 import asyncio
 import datetime
+import os
+import time
 
 import pytest
 
@@ -247,6 +250,63 @@ class TestLifecycle:
         assert again == flights_fingerprint
         assert cluster.tables()[again] == "flight_hotel_packages"
         assert len(cluster.table(again)) == 12
+
+
+def parent_pid(pid: int) -> int:
+    """The parent of a live process, from ``/proc/<pid>/stat`` (Linux)."""
+    with open(f"/proc/{pid}/stat") as stat:
+        return int(stat.read().rpartition(")")[2].split()[1])
+
+
+def pid_exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc (Linux)")
+class TestWorkerTemplate:
+    """Process workers are forks of one template process per cluster."""
+
+    def test_every_worker_is_a_child_of_the_template(self, cluster):
+        parents = {parent_pid(state["pid"]) for state in cluster.worker_states()}
+        assert len(parents) == 1
+        (template,) = parents
+        assert template != os.getpid()
+        assert parent_pid(template) == os.getpid()
+
+    def test_killed_worker_reads_dead_and_respawns_from_the_template(self):
+        with ClusterSessionService(num_workers=2, heartbeat_interval=None) as cluster:
+            fingerprint = cluster.register_table(tiny_table())
+            killed = cluster.worker_states()[0]["pid"]
+            template = parent_pid(killed)
+            assert template != os.getpid()
+            cluster.kill_worker(0)
+            # The template reaps the worker, so it never lingers as a
+            # zombie that reads as alive.
+            deadline = time.monotonic() + 5.0
+            while cluster.worker_states()[0]["alive"] and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert cluster.worker_states()[0]["alive"] is False
+            assert not pid_exists(killed)
+            # The next command on the shard respawns the worker by a fork of
+            # the same template.
+            cluster.create(fingerprint, session_id="10")
+            state = cluster.worker_states()[0]
+            assert state["generation"] == 1 and state["alive"]
+            assert state["pid"] != killed
+            assert parent_pid(state["pid"]) == template
+
+    def test_shutdown_leaves_no_template_or_worker(self):
+        cluster = ClusterSessionService(num_workers=2, heartbeat_interval=None)
+        try:
+            workers = [state["pid"] for state in cluster.worker_states()]
+            template = parent_pid(workers[0])
+        finally:
+            cluster.shutdown()
+        assert [pid_exists(pid) for pid in (template, *workers)] == [False, False, False]
 
 
 class TestErrorParity:
