@@ -57,7 +57,7 @@ PROJECT_SCOPES: dict[str, Scope] = {
     # Transport monopoly: sockets and pipe connections are created only in
     # service/transport.py, the one seam supervision and chaos injection
     # wrap.  Everything else — the cluster supervisor included — talks
-    # through FramedConnection/Listener.
+    # through FramedConnection/framed_pair.
     "RPR008": Scope(
         include=("src/repro/*", "benchmarks/*", "examples/*", "scripts/*"),
         exclude=("src/repro/service/transport.py",),

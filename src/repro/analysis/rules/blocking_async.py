@@ -13,13 +13,14 @@ separate execution contexts and exempt):
 
 * calls whose resolved dotted name is known-blocking — ``time.sleep``, the
   ``subprocess`` run/``Popen`` family, ``os.system``/``os.popen``,
-  ``socket.create_connection``, and the transport dial
-  (``transport.connect``, which retries with sleeps);
+  ``socket.create_connection``, and the transport's descriptor passing
+  (``transport.send_connection``/``transport.recv_connection``, which
+  wait on the peer);
 * method calls whose receiver statically resolves to a *sync* service class
   (``SessionService``, ``ClusterSessionService``) — these take locks and do
   real work on the calling thread;
-* ``send``/``recv``/``accept`` on a receiver resolving to
-  ``FramedConnection``/``Listener`` — framed sockets block by design.
+* ``send``/``recv`` on a receiver resolving to ``FramedConnection`` —
+  framed sockets block by design.
 
 Receivers the model cannot type are *not* flagged: the rule prefers a
 false negative over teaching people to sprinkle suppressions.  Handing a
@@ -52,7 +53,7 @@ BLOCKING_DOTTED = frozenset(
 )
 
 #: Suffixes of resolved dotted names that block (project seams).
-BLOCKING_SUFFIXES = ("transport.connect",)
+BLOCKING_SUFFIXES = ("transport.send_connection", "transport.recv_connection")
 
 #: Sync service classes whose every method does thread-blocking work.
 SYNC_SERVICE_CLASSES = frozenset({"SessionService", "ClusterSessionService"})
@@ -60,7 +61,6 @@ SYNC_SERVICE_CLASSES = frozenset({"SessionService", "ClusterSessionService"})
 #: Blocking methods of the framed-transport classes.
 TRANSPORT_BLOCKING = {
     "FramedConnection": frozenset({"send", "recv"}),
-    "Listener": frozenset({"accept"}),
 }
 
 
@@ -98,7 +98,7 @@ class BlockingInAsyncRule(ProjectRule):
             if dotted in BLOCKING_DOTTED:
                 return f"blocking call {dotted}()"
             if any(dotted.endswith(suffix) for suffix in BLOCKING_SUFFIXES):
-                return f"blocking transport dial {dotted}()"
+                return f"blocking transport call {dotted}()"
         if receiver_class is not None and method is not None:
             if receiver_class in SYNC_SERVICE_CLASSES and not method.startswith("_"):
                 return f"direct sync-service call {receiver_class}.{method}()"

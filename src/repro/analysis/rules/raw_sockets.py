@@ -12,8 +12,8 @@ monopoly honest.
 Flagged, outside the transport module:
 
 * imports of ``socket`` (any form, any nesting level),
-* imports of ``multiprocessing.connection`` (the ``Connection`` /
-  ``Client`` / ``Listener`` pipe machinery), and
+* imports of ``multiprocessing.connection`` (its pipe machinery:
+  ``Connection``, ``Client`` and their accept side), and
 * calls to ``Pipe(…)`` / ``*.Pipe(…)``.
 
 Plain ``import multiprocessing`` stays allowed — spawning worker
@@ -56,7 +56,7 @@ class RawSocketsRule(Rule):
                             module,
                             node,
                             f"import of transport primitive {alias.name!r} outside "
-                            "service/transport.py; use FramedConnection/Listener",
+                            "service/transport.py; use FramedConnection/framed_pair",
                         )
             elif isinstance(node, ast.ImportFrom):
                 if node.level != 0:
@@ -67,7 +67,7 @@ class RawSocketsRule(Rule):
                         module,
                         node,
                         f"import from transport primitive {source!r} outside "
-                        "service/transport.py; use FramedConnection/Listener",
+                        "service/transport.py; use FramedConnection/framed_pair",
                     )
                 elif source == "multiprocessing":
                     for alias in node.names:

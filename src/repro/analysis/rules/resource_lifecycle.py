@@ -8,8 +8,8 @@ workers on purpose — the cleanup story only holds if *every* construction
 site has an owner.
 
 For every tracked construction in a function body —
-``FramedConnection``/``Listener``, the transport factories
-(``connect``/``framed_pair``), ``create_thread_pool`` and the stdlib
+``FramedConnection``, the transport factories
+(``framed_pair``/``recv_connection``), ``create_thread_pool`` and the stdlib
 executors, ``subprocess.Popen`` — the rule accepts exactly the ownership
 shapes the repository uses:
 
@@ -18,8 +18,8 @@ shapes the repository uses:
   ``ExitStack.enter_context``/``push``/``callback``);
 * a ``close``/``shutdown``/``terminate``/``kill`` call on the variable
   inside a ``finally`` block, or inside an ``except`` handler that
-  re-raises (the ``Listener.__init__`` close-on-error idiom: the error
-  path is covered, the success path hands ownership elsewhere);
+  re-raises (the ``ClusterSessionService._launch`` close-on-error idiom:
+  the error path is covered, the success path hands ownership elsewhere);
 * stored on ``self`` of a class exposing a lifecycle method
   (``close``/``shutdown``/``aclose``/``__exit__``/``__aexit__``) — the
   class takes over ownership;
@@ -44,13 +44,13 @@ from ..project import LIFECYCLE_METHODS, ModuleInfo, ProjectModel, ProjectRule
 
 #: Constructor class names tracked wherever they resolve from.
 TRACKED_CLASSES = frozenset(
-    {"FramedConnection", "Listener", "ThreadPoolExecutor", "ProcessPoolExecutor", "Popen"}
+    {"FramedConnection", "ThreadPoolExecutor", "ProcessPoolExecutor", "Popen"}
 )
 
 #: Factory functions tracked when they resolve into the owning module.
 TRACKED_FACTORIES = {
-    "connect": "transport",
     "framed_pair": "transport",
+    "recv_connection": "transport",
     "create_thread_pool": "parallel",
 }
 
@@ -146,9 +146,10 @@ class _ResourceScan:
                 self._visit(child, in_finally)
             for handler in node.handlers:
                 # A close inside an except handler that re-raises is the
-                # repository's close-on-error idiom (see Listener.__init__):
-                # the error path is covered, the success path transferred
-                # ownership.  A handler that swallows gets no credit.
+                # repository's close-on-error idiom (see
+                # ClusterSessionService._launch): the error path is covered,
+                # the success path transferred ownership.  A handler that
+                # swallows gets no credit.
                 reraises = any(
                     isinstance(inner, ast.Raise) and inner.exc is None
                     for inner in ast.walk(handler)
@@ -271,7 +272,7 @@ class _ResourceScan:
             for arg in context_expr.args:
                 if isinstance(arg, ast.Name):
                     self.escaped.add(arg.id)
-        # ``with connect(...) as conn:`` — the construction is consumed by the
+        # ``with recv_connection(...) as conn:`` — the construction is consumed by the
         # with-statement itself and never enters the tracked set.
 
     # -------------------------------------------------------------- #

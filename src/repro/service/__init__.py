@@ -20,13 +20,13 @@ inference:
   :class:`CrowdDispatcher` multiplexing a session's question batches across
   a worker pool;
 * :mod:`~repro.service.transport` — length-prefixed JSON framing over
-  sockets (:class:`FramedConnection`, :class:`Listener`), the only module
-  in the library that touches sockets;
-* :mod:`~repro.service.worker` — the cluster worker loop and the
-  ``python -m repro.service.worker`` entrypoint for remote machines;
+  socketpairs (:class:`FramedConnection`, :func:`framed_pair`), the only
+  module in the library that touches sockets;
+* :mod:`~repro.service.worker` — the cluster worker loop and the template
+  process that forks process workers;
 * :mod:`~repro.service.cluster` — :class:`ClusterSessionService`, the
-  supervised sharded tier: N workers (threads, local processes, or remote
-  machines) each running a `SessionService`, consistent
+  supervised sharded tier: N workers (threads or local processes) each
+  running a `SessionService`, consistent
   ``session_id -> worker`` routing, framed JSON commands over sockets,
   heartbeat health checks, and transparent respawn + session replay on
   worker death — the same facade as the single-process service (wrap it in
@@ -73,7 +73,6 @@ from .transport import (
     ConnectionClosedError,
     FramedConnection,
     FrameTooLargeError,
-    Listener,
     TransportError,
 )
 
@@ -94,7 +93,6 @@ __all__ = [
     "InferenceSession",
     "InteractionMode",
     "LabelApplied",
-    "Listener",
     "ProtocolError",
     "QuestionAsked",
     "SessionDescriptor",

@@ -19,14 +19,13 @@ Design
 * **Framed JSON over sockets.**  Workers are driven over the
   length-prefixed JSON framing of :mod:`repro.service.transport` — commands
   in, ``{"status": "ok"/"error", …}`` replies out, wire forms shared with
-  the worker loop via :mod:`repro.service.wire`.  Three backends speak the
-  identical protocol: ``"process"`` (local processes, forked from one
-  pre-imported template process per cluster, that dial back to the
-  supervisor's listener — the default), ``"thread"`` (in-process worker
-  loops over socketpairs: no process start, no multi-core speedup;
-  ideal for tests and fault injection), and ``"external"`` (the supervisor
-  only listens; start workers anywhere with ``python -m repro.service.worker
-  --connect HOST:PORT --token TOKEN``).
+  the worker loop via :mod:`repro.service.wire`.  Every worker link is a
+  socketpair the supervisor makes, and two backends speak the identical
+  protocol over it: ``"process"`` (local processes, forked from one
+  pre-imported template process per cluster, each handed its end of the
+  pair as a descriptor — the default) and ``"thread"`` (in-process worker
+  loops: no process start, no multi-core speedup; ideal for tests and
+  fault injection).
 * **Supervision.**  Every state-changing command's reply piggybacks the
   touched session's durable v3 document (the service-level write-through
   hook), so the supervisor always holds a replayable copy of every session.
@@ -99,11 +98,11 @@ from .transport import (
     DEFAULT_MAX_FRAME_BYTES,
     ConnectionClosedError,
     FramedConnection,
-    Listener,
     TransportError,
     framed_pair,
+    send_connection,
 )
-from .worker import HELLO_KIND, serve_connection, template_entry
+from .worker import serve_connection, template_entry
 from .wire import (
     ClusterServiceError,
     ClusterWorkerError,
@@ -122,9 +121,6 @@ __all__ = [
     "table_to_wire",
 ]
 
-#: Back-compat alias: tests and older callers imported the underscored name.
-_rebuild_error = rebuild_error
-
 #: Default worker count: one per core, capped so a big machine does not fork
 #: dozens of interpreters for a demo.
 DEFAULT_WORKERS = max(1, min(8, os.cpu_count() or 1))
@@ -133,11 +129,11 @@ DEFAULT_WORKERS = max(1, min(8, os.cpu_count() or 1))
 DEFAULT_HEARTBEAT_INTERVAL = 2.0
 #: How long a heartbeat ping may take before the worker counts as dead.
 DEFAULT_HEARTBEAT_TIMEOUT = 10.0
-#: How long a started or external worker gets to dial in before start-up
-#: fails (and how long the worker template may take to answer a request).
+#: How long the worker template may take to answer a request, and a new
+#: worker its start-up ping, before start-up fails.
 DEFAULT_START_TIMEOUT = 30.0
 
-_BACKENDS = ("process", "thread", "external")
+_BACKENDS = ("process", "thread")
 
 
 class _WorkerSlot:
@@ -156,7 +152,7 @@ class _WorkerSlot:
         self.index = index
         self.lock = threading.RLock()
         self.conn: FramedConnection | None = None
-        self.runner: object | None = None  # _ForkedWorker, Thread, or None (external)
+        self.runner: object | None = None  # _ForkedWorker or Thread
         self.pid: int | None = None
         self.generation = 0
 
@@ -202,32 +198,50 @@ class _WorkerTemplate:
         self._control: FramedConnection | None = None
         self._stopped = False
 
-    def fork(self, address: tuple[str, int], token: str, max_frame_bytes: int) -> _ForkedWorker:
-        """Fork one worker that dials ``address`` with ``token``.
+    def fork(self, max_frame_bytes: int) -> tuple[FramedConnection, _ForkedWorker]:
+        """Fork one worker; return the supervisor's end of its socketpair and it.
 
-        Raises :class:`ConnectionClosedError` when the template dies before
-        answering (the next call starts a new one) and
-        :class:`ClusterServiceError` when the fork itself fails.
+        The pair is made only once the template runs, under the lock, and the
+        worker's end is closed here as soon as it is passed: a template
+        started by ``fork`` copies every descriptor open in this process, and
+        a worker end copied into it (and into every worker it forks later)
+        would keep that worker's death from ever reading as EOF.
+
+        A template that died since the last call is noticed only when a
+        request to it fails, so this tries twice: the second attempt starts a
+        new template.  Raises :class:`ClusterServiceError` when both attempts
+        fail or the fork itself fails.
         """
         with self._lock:
-            if self._stopped:
-                raise ClusterServiceError("the cluster session service is shut down")
-            if self._process is None or not self._process.is_alive():
-                self._discard_locked()
-                self._start_locked()
-            process = self._process
-            reply = self._call_locked(
-                {
-                    "cmd": "fork",
-                    "address": list(address),
-                    "token": token,
-                    "max_frame_bytes": max_frame_bytes,
-                }
-            )
-        pid = reply.get("pid")
-        if not isinstance(pid, int):
-            raise ClusterServiceError(f"the worker template could not fork: {reply.get('error')}")
-        return _ForkedWorker(self, process, pid)
+            for _attempt in range(2):
+                if self._stopped:
+                    raise ClusterServiceError("the cluster session service is shut down")
+                if self._process is None or not self._process.is_alive():
+                    self._discard_locked()
+                    self._start_locked()
+                process = self._process
+                parent_conn, worker_conn = framed_pair(max_frame_bytes)
+                try:
+                    reply = self._call_locked(
+                        {"cmd": "fork", "max_frame_bytes": max_frame_bytes}, worker_conn
+                    )
+                except ConnectionClosedError as exc:
+                    parent_conn.close()
+                    failure = exc
+                    continue
+                except BaseException:
+                    parent_conn.close()
+                    raise
+                finally:
+                    worker_conn.close()  # the template forks around its own copy
+                pid = reply.get("pid")
+                if not isinstance(pid, int):
+                    parent_conn.close()
+                    raise ClusterServiceError(
+                        f"the worker template could not fork: {reply.get('error')}"
+                    )
+                return parent_conn, _ForkedWorker(self, process, pid)
+        raise ClusterServiceError(f"no worker could be started ({failure})") from failure
 
     def stop(self, timeout: float) -> None:
         """Close the pipe and join the template, which kills and reaps its workers."""
@@ -266,9 +280,14 @@ class _WorkerTemplate:
             template_end.close()  # the template holds its own copy
         self._process, self._control = process, control
 
-    def _call_locked(self, request: dict[str, object]) -> dict[str, object]:
+    def _call_locked(
+        self, request: dict[str, object], conn: FramedConnection | None = None
+    ) -> dict[str, object]:
+        """One request (passing ``conn`` along with it, if given) and its reply."""
         try:
             self._control.send(request)
+            if conn is not None:
+                send_connection(self._control, conn)
             reply = self._control.recv()
         except TransportError as exc:
             self._discard_locked()
@@ -370,19 +389,10 @@ class ClusterSessionService:
         re-importing the caller's ``__main__``.
     backend:
         ``"process"`` (default) forks local worker processes from the
-        cluster's template process; they dial back to the supervisor's
-        listener.  ``"thread"`` runs the worker loops on in-process threads
-        over socketpairs (no process start, no multi-core speedup — for
-        tests, fault injection, and single-core boxes).  ``"external"`` only
-        listens — start workers on any machine with
-        ``python -m repro.service.worker --connect HOST:PORT --token TOKEN``.
-        Pass ``listen`` and ``worker_token`` explicitly for external
-        clusters: the constructor blocks until every worker has dialled in,
-        so both must be agreed with the operators beforehand.
-    listen:
-        The listener's ``(host, port)`` for process/external backends
-        (default: a free loopback port; use ``("0.0.0.0", port)`` to accept
-        remote workers).
+        cluster's template process, each handed its end of a socketpair.
+        ``"thread"`` runs the worker loops on in-process threads over
+        socketpairs (no process start, no multi-core speedup — for tests,
+        fault injection, and single-core boxes).
     heartbeat_interval / heartbeat_timeout:
         Idle workers are pinged every ``heartbeat_interval`` seconds; a ping
         that fails — or takes longer than ``heartbeat_timeout`` — triggers
@@ -397,9 +407,9 @@ class ClusterSessionService:
         :class:`~repro.service.wire.WorkerUnavailableError` naming the
         worker.
     start_timeout:
-        How long a (re)started or external worker gets to dial in, and how
-        long the worker template may take to answer a request (its first
-        answer waits for its imports).
+        How long the worker template may take to answer a request (its
+        first answer waits for its imports), and each worker its start-up
+        ping.
     connection_wrapper:
         ``(conn, worker_index) -> conn`` applied to every worker connection
         as it is adopted — the fault-injection seam
@@ -431,13 +441,11 @@ class ClusterSessionService:
         mp_context: str = "spawn",
         *,
         backend: str = "process",
-        listen: tuple[str, int] | None = None,
         heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         respawn: bool = True,
         start_timeout: float = DEFAULT_START_TIMEOUT,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        worker_token: str | None = None,
         connection_wrapper: Callable[[FramedConnection, int], FramedConnection] | None = None,
     ) -> None:
         count = DEFAULT_WORKERS if num_workers is None else num_workers
@@ -457,36 +465,28 @@ class ClusterSessionService:
         self._start_timeout = start_timeout
         self._max_frame_bytes = max_frame_bytes
         self._connection_wrapper = connection_wrapper
-        # External clusters need the token agreed *before* construction (the
-        # constructor blocks until every worker has dialled in), so the
-        # operator picks it and passes the same value to each worker's
-        # ``--token``; for the other backends it is minted here.
-        self._worker_token = worker_token or uuid.uuid4().hex
         self._lock = threading.RLock()
         self._broadcast_lock = threading.Lock()
-        self._accept_lock = threading.Lock()
         self._stop = threading.Event()
         self._heartbeat_thread: threading.Thread | None = None
         self._tables: dict[str, CandidateTable] = {}
         self._broadcast_done: set[str] = set()
         self._sessions: dict[str, dict[str, object]] = {}
-        self._pending_hellos: dict[str, list[tuple[FramedConnection, int | None]]] = {}
         self._closed = False
-        self._listener = (
-            Listener(*(listen or ("127.0.0.1", 0)), max_frame_bytes=max_frame_bytes)
-            if backend in ("process", "external")
-            else None
-        )
         self._workers = [_WorkerSlot(index) for index in range(count)]
         try:
-            # Launch every runner first (they dial in concurrently), then
-            # adopt the connections; one ping per worker surfaces
-            # import/start-up failures at construction, not first command.
-            tokens = [self._launch(slot) for slot in self._workers]
-            for slot, token in zip(self._workers, tokens, strict=True):
-                self._attach(slot, token)
             for slot in self._workers:
-                self._request(slot, {"cmd": "ping"})
+                self._launch(slot)
+            # One bounded ping per worker surfaces start-up failures at
+            # construction, not at the first command.
+            for slot in self._workers:
+                with slot.lock:
+                    try:
+                        self._ping(slot, self._start_timeout)
+                    except TransportError as exc:
+                        raise ClusterServiceError(
+                            f"cluster worker {slot.index} failed its start-up ping ({exc})"
+                        ) from exc
             if self._heartbeat_interval and self._respawn:
                 self._heartbeat_thread = threading.Thread(
                     target=self._heartbeat_loop, name="repro-cluster-heartbeat", daemon=True
@@ -497,111 +497,44 @@ class ClusterSessionService:
             raise
 
     # ------------------------------------------------------------------ #
-    # Worker lifecycle: launch, handshake, recovery
+    # Worker lifecycle: launch and recovery
     # ------------------------------------------------------------------ #
-    def _launch(self, slot: _WorkerSlot) -> str | None:
-        """Start the slot's runner; the hello token to await (None: connected)."""
-        if self._backend == "thread":
+    def _launch(self, slot: _WorkerSlot) -> None:
+        """Start a worker on a fresh socketpair and adopt the supervisor's end.
+
+        A thread worker serves its end in place; the template forks a process
+        worker around its end (see :meth:`_WorkerTemplate.fork`).
+        """
+        if self._template is None:
             parent_conn, worker_conn = framed_pair(self._max_frame_bytes)
+            runner = threading.Thread(
+                target=serve_connection,
+                args=(worker_conn,),
+                name=f"repro-cluster-{slot.index}",
+                daemon=True,
+            )
             try:
-                thread = threading.Thread(
-                    target=serve_connection,
-                    args=(worker_conn,),
-                    name=f"repro-cluster-{slot.index}",
-                    daemon=True,
-                )
-                thread.start()
-                slot.runner = thread
-                slot.conn = self._wrap(parent_conn, slot)
+                runner.start()
             except BaseException:
-                # Thread creation or a custom connection wrapper failed: the
-                # pair has no owner yet, so both ends must close here (RPR012).
+                # The pair has no owner yet (RPR012).
                 parent_conn.close()
                 worker_conn.close()
                 raise
-            slot.pid = os.getpid()
-            return None
-        if self._backend == "process":
-            # A template that died since the last launch is noticed only when
-            # a request to it fails; the second attempt starts a new one.  A
-            # fresh token per attempt keeps a worker forked just before such
-            # a death from answering for this slot.
-            for _attempt in range(2):
-                token = uuid.uuid4().hex
-                try:
-                    slot.runner = self._template.fork(
-                        self._listener.address, token, self._max_frame_bytes
-                    )
-                except ConnectionClosedError as exc:
-                    failure = exc
-                    continue
-                return token
-            raise ClusterServiceError(f"no worker could be started ({failure})") from failure
-        return self._worker_token  # external: the operator starts the worker
-
-    def _attach(self, slot: _WorkerSlot, token: str | None) -> None:
-        """Adopt the inbound connection whose hello carries ``token``."""
-        if token is None:
-            return  # thread backend: connected at launch
-        conn, pid = self._await_hello(token)
-        slot.conn = self._wrap(conn, slot)
-        slot.pid = pid
+            pid = os.getpid()
+        else:
+            parent_conn, runner = self._template.fork(self._max_frame_bytes)
+            pid = runner.pid
+        slot.runner, slot.pid = runner, pid
+        try:
+            slot.conn = self._wrap(parent_conn, slot)
+        except BaseException:
+            parent_conn.close()  # a custom connection wrapper failed
+            raise
 
     def _wrap(self, conn: FramedConnection, slot: _WorkerSlot) -> FramedConnection:
         if self._connection_wrapper is not None:
             return self._connection_wrapper(conn, slot.index)
         return conn
-
-    def _await_hello(self, token: str) -> tuple[FramedConnection, int | None]:
-        """Accept inbound connections until one's hello matches ``token``.
-
-        Hellos for *other* tokens are stashed (another recovery may be
-        waiting for them — connections can arrive in any order), malformed
-        ones dropped, so a stray client cannot occupy a worker slot.
-        """
-        deadline = time.monotonic() + self._start_timeout
-        with self._accept_lock:
-            while True:
-                with self._lock:
-                    stash = self._pending_hellos.get(token)
-                    if stash:
-                        entry = stash.pop(0)
-                        if not stash:
-                            del self._pending_hellos[token]
-                        return entry
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ClusterServiceError(
-                        f"no worker dialled in with the expected token within "
-                        f"{self._start_timeout:.1f}s (listener {self._listener.address_text()})"
-                    )
-                try:
-                    conn = self._listener.accept(timeout=min(remaining, 1.0))
-                except ConnectionClosedError:
-                    raise ClusterServiceError(
-                        "the cluster listener closed while awaiting a worker"
-                    ) from None
-                except TransportError:
-                    continue  # accept timeout: re-check the stash and deadline
-                try:
-                    conn.settimeout(5.0)
-                    hello = conn.recv()
-                    conn.settimeout(None)
-                except TransportError:
-                    conn.close()
-                    continue
-                if not isinstance(hello, dict) or hello.get("hello") != HELLO_KIND:
-                    conn.close()
-                    continue
-                hello_token = hello.get("token")
-                pid = hello.get("pid") if isinstance(hello.get("pid"), int) else None
-                if hello_token == token:
-                    return conn, pid
-                if isinstance(hello_token, str):
-                    with self._lock:
-                        self._pending_hellos.setdefault(hello_token, []).append((conn, pid))
-                else:
-                    conn.close()
 
     def _recover_locked(self, slot: _WorkerSlot, cause: BaseException) -> None:
         """Replace a dead worker and replay its state.  Caller holds ``slot.lock``.
@@ -628,7 +561,7 @@ class ClusterSessionService:
             slot.conn.close()
         self._reap(slot)
         try:
-            self._attach(slot, self._launch(slot))
+            self._launch(slot)
             slot.generation += 1
             with self._lock:
                 tables = dict(self._tables)
@@ -676,6 +609,12 @@ class ClusterSessionService:
             runner.join(timeout=5.0)
         # A thread runner exits on its own once its socketpair end closes.
 
+    def _ping(self, slot: _WorkerSlot, timeout: float) -> None:
+        """One ping that must be answered within ``timeout``.  Caller holds ``slot.lock``."""
+        slot.conn.settimeout(timeout)
+        self._expect_ok(slot.exchange({"cmd": "ping"}))
+        slot.conn.settimeout(None)
+
     def _heartbeat_loop(self) -> None:
         """Ping idle workers; recover the ones that fail.  Daemon thread.
 
@@ -691,9 +630,7 @@ class ClusterSessionService:
                     continue
                 try:
                     try:
-                        slot.conn.settimeout(self._heartbeat_timeout)
-                        self._expect_ok(slot.exchange({"cmd": "ping"}))
-                        slot.conn.settimeout(None)
+                        self._ping(slot, self._heartbeat_timeout)
                     except TransportError as exc:
                         try:
                             self._recover_locked(slot, exc)
@@ -706,8 +643,8 @@ class ClusterSessionService:
         """Ungracefully kill one worker — the fault-injection and ops hook.
 
         ``SIGKILL`` for process workers (their template reaps them at once),
-        severing the connection for thread/external ones (their serve loop
-        sees EOF and exits).  Takes no worker lock: the point is to yank the
+        severing the connection for thread ones (their serve loop sees EOF
+        and exits).  Takes no worker lock: the point is to yank the
         worker out from under whatever is in flight, exactly like a machine
         loss.  With ``respawn=True`` the supervision layer absorbs it; with
         ``respawn=False`` the next command on this shard raises
@@ -731,7 +668,7 @@ class ClusterSessionService:
         states: list[dict[str, object]] = []
         for slot in self._workers:
             runner = slot.runner
-            alive = runner.is_alive() if runner is not None else slot.conn is not None
+            alive = runner is not None and runner.is_alive()
             states.append(
                 {
                     "index": slot.index,
@@ -750,16 +687,6 @@ class ClusterSessionService:
     def num_workers(self) -> int:
         """How many workers the cluster runs."""
         return len(self._workers)
-
-    @property
-    def worker_address(self) -> tuple[str, int] | None:
-        """Where workers dial in (process/external backends), else ``None``."""
-        return self._listener.address if self._listener is not None else None
-
-    @property
-    def worker_token(self) -> str:
-        """The token an external worker must present in its hello frame."""
-        return self._worker_token
 
     def _check_open(self) -> None:
         with self._lock:
@@ -1141,7 +1068,7 @@ class ClusterSessionService:
     # Shutdown
     # ------------------------------------------------------------------ #
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop the heartbeat, every worker, and the listener.  Idempotent.
+        """Stop the heartbeat, every worker, and the worker template.  Idempotent.
 
         Live sessions die with their workers (save what must survive first);
         commands after shutdown raise :class:`ClusterServiceError`.
@@ -1163,15 +1090,8 @@ class ClusterSessionService:
                 except TransportError:
                     pass
                 slot.conn.close()
-        if self._listener is not None:
-            self._listener.close()
         if self._template is not None:
             self._template.stop(timeout)  # SIGKILLs and reaps its workers
-        with self._lock:
-            stashes = [entry for stash in self._pending_hellos.values() for entry in stash]
-            self._pending_hellos.clear()
-        for conn, _pid in stashes:
-            conn.close()
         for slot in self._workers:
             runner = slot.runner
             if runner is None:

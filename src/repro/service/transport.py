@@ -1,11 +1,12 @@
 """Length-prefixed JSON framing over sockets: the cluster's wire transport.
 
 The multi-process cluster (:mod:`repro.service.cluster`) drives its workers
-over this module instead of :mod:`multiprocessing` pipes, so a worker can
-live in the parent process (a thread over a socketpair), on the same machine
-(a spawned process that dials back in), or on another machine entirely
-(``python -m repro.service.worker --connect HOST:PORT``).  Everything that
-crosses a connection is one *frame*:
+over this module instead of :mod:`multiprocessing` pipes.  Every worker
+link is one end of an AF_UNIX socketpair (:func:`framed_pair`): a thread
+worker in the supervisor's process keeps its end in place, and a forked
+process worker is handed its end as a descriptor (:func:`send_connection`
+/ :func:`recv_connection`).  Everything that crosses a connection is one
+*frame*:
 
 * a 4-byte big-endian unsigned length header, then
 * exactly that many bytes of UTF-8 JSON.
@@ -19,9 +20,9 @@ The surface is deliberately tiny and blocking:
 
 * :class:`FramedConnection` — ``send(obj)`` / ``recv() -> obj`` over any
   connected socket, with partial reads and writes handled internally;
-* :class:`Listener` — accept loop for the supervisor side;
-* :func:`connect` — reconnect-aware client dial (bounded retries with a
-  fixed delay), for workers reaching back to a supervisor.
+* :func:`framed_pair` — a connected pair of framed connections;
+* :func:`send_connection` / :func:`recv_connection` — move one connection
+  to another process over a framed AF_UNIX connection (``SCM_RIGHTS``).
 
 All failures surface as :class:`TransportError` subtypes, never raw
 ``OSError``/``EOFError`` — this module is the **only** place in the library
@@ -37,6 +38,7 @@ writers would corrupt the stream.
 from __future__ import annotations
 
 import json
+import os
 import socket
 import struct
 
@@ -187,92 +189,14 @@ class FramedConnection:
         self.close()
 
 
-class Listener:
-    """A TCP accept point for framed connections (the supervisor side).
-
-    Binds at construction — ``Listener()`` picks a free loopback port, so
-    tests and local clusters never race over port numbers; pass an explicit
-    ``("0.0.0.0", port)`` to accept workers from other machines.
-    """
-
-    __slots__ = ("_sock", "_max_frame_bytes")
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        backlog: int = 64,
-    ) -> None:
-        self._max_frame_bytes = max_frame_bytes
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((host, port))
-            sock.listen(backlog)
-        except OSError as exc:
-            sock.close()
-            raise TransportError(
-                f"cannot listen on {host}:{port} ({type(exc).__name__}: {exc})"
-            ) from exc
-        self._sock = sock
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` — with the OS-assigned port resolved."""
-        return self._sock.getsockname()[:2]
-
-    def accept(self, timeout: float | None = None) -> FramedConnection:
-        """Accept one inbound connection as a :class:`FramedConnection`.
-
-        Raises :class:`TransportError` on timeout and
-        :class:`ConnectionClosedError` when the listener itself is closed.
-        """
-        self._sock.settimeout(timeout)
-        try:
-            sock, _ = self._sock.accept()
-        except TimeoutError as exc:
-            raise TransportError(
-                f"no connection arrived within {timeout:.1f}s on {self.address_text()}"
-            ) from exc
-        except OSError as exc:
-            raise ConnectionClosedError(
-                f"listener closed while accepting ({type(exc).__name__}: {exc})"
-            ) from exc
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return FramedConnection(sock, self._max_frame_bytes)
-
-    def address_text(self) -> str:
-        """``host:port`` for log and error messages."""
-        try:
-            host, port = self.address
-        except OSError:
-            return "<closed listener>"
-        return f"{host}:{port}"
-
-    def close(self) -> None:
-        """Stop accepting.  Idempotent; never raises."""
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - close failures are unreportable
-            pass
-
-    def __enter__(self) -> Listener:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 def framed_pair(
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
 ) -> tuple[FramedConnection, FramedConnection]:
-    """A connected pair of framed connections (for in-process thread workers).
+    """A connected pair of framed connections over an AF_UNIX socketpair.
 
-    Same framing, no TCP stack: the cluster's ``backend="thread"`` runs its
-    worker loops over one end of a socketpair, which keeps single-process
-    deployments (and fault-injection tests) cheap while exercising the
-    identical wire path.
+    Every cluster worker link is one: a thread worker serves on its end in
+    place, and a process worker's end is passed to it with
+    :func:`send_connection`.
     """
     parent_sock, worker_sock = socket.socketpair()
     return (
@@ -281,39 +205,48 @@ def framed_pair(
     )
 
 
-def connect(
-    address: tuple[str, int],
-    timeout: float = 10.0,
-    retries: int = 0,
-    retry_delay: float = 0.2,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> FramedConnection:
-    """Dial a :class:`Listener` and return the framed connection.
+def send_connection(channel: FramedConnection, conn: FramedConnection) -> None:
+    """Pass ``conn``'s descriptor to the process at the other end of ``channel``.
 
-    ``retries`` extra attempts are made after a refused/failed dial, sleeping
-    ``retry_delay`` between them — the reconnect-aware client path a worker
-    uses to reach a supervisor that is still binding (or briefly gone).
-    Raises :class:`TransportError` when every attempt fails.
+    ``channel`` must be an AF_UNIX connection.  The descriptor rides on one
+    byte sent right after the last frame; the peer must take it with
+    :func:`recv_connection` before reading the next frame, since a plain read
+    of that byte would drop it.  The caller keeps its own ``conn`` and
+    closes it once the peer has answered.  Raises
+    :class:`ConnectionClosedError` when the peer is gone.
     """
-    import time as _time
+    try:
+        socket.send_fds(channel._sock, [b"\0"], [conn.fileno()])
+    except TimeoutError as exc:
+        raise TransportError("timed out passing a connection") from exc
+    except OSError as exc:
+        raise ConnectionClosedError(
+            f"connection closed while passing a connection ({type(exc).__name__}: {exc})"
+        ) from exc
 
-    host, port = address
-    last_error: OSError | None = None
-    for attempt in range(retries + 1):
-        if attempt:
-            _time.sleep(retry_delay)
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        try:
-            sock.connect((host, port))
-        except OSError as exc:
-            sock.close()
-            last_error = exc
-            continue
-        sock.settimeout(None)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return FramedConnection(sock, max_frame_bytes)
-    raise TransportError(
-        f"cannot connect to {host}:{port} after {retries + 1} attempt(s) "
-        f"({type(last_error).__name__}: {last_error})"
-    ) from last_error
+
+def recv_connection(
+    channel: FramedConnection, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
+) -> FramedConnection:
+    """Take the connection a peer passed with :func:`send_connection`.
+
+    The caller owns the result.  Raises :class:`ConnectionClosedError` on
+    EOF and :class:`TransportError` when the byte carried no descriptor.
+    """
+    try:
+        data, fds, _flags, _address = socket.recv_fds(channel._sock, 1, 1)
+    except TimeoutError as exc:
+        raise TransportError("timed out receiving a connection") from exc
+    except OSError as exc:
+        raise ConnectionClosedError(
+            f"connection closed receiving a connection ({type(exc).__name__}: {exc})"
+        ) from exc
+    if not data:
+        for fd in fds:
+            os.close(fd)
+        raise ConnectionClosedError("connection closed before a connection was passed")
+    if len(fds) != 1:
+        for fd in fds:
+            os.close(fd)
+        raise TransportError(f"expected one passed descriptor, got {len(fds)}")
+    return FramedConnection(socket.socket(fileno=fds[0]), max_frame_bytes)

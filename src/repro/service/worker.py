@@ -3,16 +3,15 @@
 A worker is nothing but a loop — :func:`serve_connection` — that reads wire
 commands off one :class:`~repro.service.transport.FramedConnection`, applies
 them to a private :class:`~repro.service.service.SessionService`, and writes
-replies back.  The same loop serves all three deployment shapes:
+replies back.  The connection is always one end of a socketpair
+(:func:`~repro.service.transport.framed_pair`) the supervisor made, and the
+same loop serves both deployment shapes:
 
 * **in-process** — the cluster's ``backend="thread"`` runs it on a thread
-  over a socketpair (:func:`~repro.service.transport.framed_pair`);
-* **local process** — ``backend="process"`` forks each worker from the
-  cluster's template process (:func:`template_entry`), and the fork runs
-  :func:`worker_entry`, which dials back to the supervisor's listener;
-* **remote machine** — ``python -m repro.service.worker --connect HOST:PORT
-  --token TOKEN`` joins a cluster built with ``backend="external"`` from
-  anywhere the listener is reachable.
+  over its end;
+* **local process** — ``backend="process"`` passes the end to the
+  cluster's template process (:func:`template_entry`), which forks a worker
+  that serves on it.
 
 Write-through documents
 -----------------------
@@ -27,21 +26,15 @@ acknowledged command, and replaying it onto a fresh worker reconstructs the
 session exactly (replay is label-driven and the strategies are
 deterministic).
 
-The hello frame
----------------
-A worker's first frame is ``{"hello": "repro-worker", "token": …, "pid": …}``.
-The token — handed out by the supervisor when it starts (or registers) the
-worker — is how the supervisor matches an inbound connection to the worker
-slot it belongs to; a hello with an unknown token is stashed or dropped, so
-a stray client cannot occupy a slot.
-
 The template process
 --------------------
 Starting a worker as a fresh interpreter costs a full import of numpy and
 this package, so the process backend pays that once per cluster: it starts
 one *template* process (with the cluster's ``mp_context``) that imports
 this module and then forks a worker on each request arriving over a
-private framed pipe — initial and respawned workers alike.  The template
+private framed pipe — initial and respawned workers alike.  Each request
+carries the worker's connection as a passed descriptor, so a worker never
+dials anything: it is born holding its connection.  The template
 owns its workers: it reaps them as they die, and when its pipe closes
 (the supervisor stopped it, or went away) it SIGKILLs and reaps every
 worker it forked before exiting.
@@ -49,24 +42,14 @@ worker it forked before exiting.
 
 from __future__ import annotations
 
-import argparse
 import os
 import signal
 import sys
 import traceback
-from collections.abc import Sequence
 
 from .service import SessionService
-from .transport import (
-    DEFAULT_MAX_FRAME_BYTES,
-    FramedConnection,
-    TransportError,
-    connect,
-)
+from .transport import FramedConnection, TransportError, recv_connection
 from .wire import error_reply, execute_command
-
-#: The ``hello`` field every worker announces itself with.
-HELLO_KIND = "repro-worker"
 
 
 def serve_connection(conn: FramedConnection) -> None:
@@ -115,27 +98,6 @@ def serve_connection(conn: FramedConnection) -> None:
         conn.close()
 
 
-def worker_entry(
-    address: tuple[str, int],
-    token: str,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> None:
-    """Dial a supervisor, introduce ourselves, and serve.  (A forked worker's body.)
-
-    Retries the dial briefly — the supervisor's listener is bound before any
-    worker starts, but a reconnecting external worker may race a supervisor
-    restart.
-    """
-    # The with-block guarantees the socket closes even when the hello send
-    # raises; close is idempotent, so serve_connection's own finally-close
-    # and this one compose (RPR012).
-    with connect(
-        address, retries=25, retry_delay=0.2, max_frame_bytes=max_frame_bytes
-    ) as conn:
-        conn.send({"hello": HELLO_KIND, "token": token, "pid": os.getpid()})
-        serve_connection(conn)
-
-
 def template_entry(control: FramedConnection, supervisor_end: FramedConnection) -> None:
     """Fork workers on request until the supervisor closes its pipe.  (Process target.)
 
@@ -145,8 +107,11 @@ def template_entry(control: FramedConnection, supervisor_end: FramedConnection) 
     EOF.  It is passed explicitly so that this holds for every start method.
 
     Requests and replies are framed JSON objects: ``{"cmd": "fork",
-    "address", "token", "max_frame_bytes"}`` answers ``{"pid"}`` (or
-    ``{"error"}`` when the fork fails), ``{"cmd": "kill", "pid"}`` SIGKILLs
+    "max_frame_bytes"}``, followed by the worker's connection passed with
+    :func:`~repro.service.transport.send_connection`, forks a worker that
+    serves on that connection and answers ``{"pid"}`` (or ``{"error"}`` when
+    the fork fails); the template closes its copy of the connection either
+    way.  ``{"cmd": "kill", "pid"}`` SIGKILLs
     and reaps one of our workers, and ``{"cmd": "alive", "pid"}`` answers
     ``{"alive"}``; anything else ends the template like EOF does.  Every
     request first reaps the workers that died since the last one, so a dead
@@ -171,14 +136,20 @@ def template_entry(control: FramedConnection, supervisor_end: FramedConnection) 
             pid = request.get("pid")
             if command == "fork":
                 try:
+                    conn = recv_connection(control, request["max_frame_bytes"])
+                except TransportError:
+                    break  # the supervisor went away mid-request
+                try:
                     pid = os.fork()
                 except OSError as exc:
                     reply: dict[str, object] = {"error": f"{type(exc).__name__}: {exc}"}
                 else:
                     if pid == 0:
-                        _run_forked_worker(control, request)
+                        _run_forked_worker(control, conn)
                     children.add(pid)
                     reply = {"pid": pid}
+                finally:
+                    conn.close()  # the worker serves on its own copy
             elif command == "kill":
                 if pid in children:
                     os.kill(pid, signal.SIGKILL)
@@ -213,8 +184,8 @@ def _reap_exited(children: set[int]) -> None:
             children.discard(pid)
 
 
-def _run_forked_worker(control: FramedConnection, request: dict) -> None:
-    """The forked child: serve as a worker, then leave without returning.
+def _run_forked_worker(control: FramedConnection, conn: FramedConnection) -> None:
+    """The forked child: serve ``conn`` as a worker, then leave without returning.
 
     ``os._exit`` keeps the child out of the template's loop, its
     ``finally`` and the interpreter's exit handlers, whatever happens,
@@ -224,52 +195,10 @@ def _run_forked_worker(control: FramedConnection, request: dict) -> None:
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         control.close()
-        host, port = request["address"]
-        worker_entry((host, port), request["token"], request["max_frame_bytes"])
+        serve_connection(conn)
         status = 0
     except Exception:
         traceback.print_exc()
         sys.stderr.flush()
     finally:
         os._exit(status)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """``python -m repro.service.worker``: join a cluster over the network."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service.worker",
-        description="Run one cluster worker process against a remote supervisor.",
-    )
-    parser.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="the supervisor's listener address (ClusterSessionService(listen=...))",
-    )
-    parser.add_argument(
-        "--token",
-        required=True,
-        help="the cluster's worker token (ClusterSessionService.worker_token)",
-    )
-    parser.add_argument(
-        "--max-frame-bytes",
-        type=int,
-        default=DEFAULT_MAX_FRAME_BYTES,
-        help="per-frame size limit; must match the supervisor's",
-    )
-    args = parser.parse_args(argv)
-    host, _, port_text = args.connect.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        parser.error(f"--connect needs HOST:PORT, got {args.connect!r}")
-    try:
-        worker_entry((host or "127.0.0.1", port), args.token, args.max_frame_bytes)
-    except TransportError as exc:
-        print(f"worker: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

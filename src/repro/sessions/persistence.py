@@ -184,16 +184,16 @@ def _verify_outcome(payload: dict[str, object], state: InferenceState) -> None:
         )
     stored_query = payload.get("canonical_query")
     if stored_query is not None:
-        if not isinstance(stored_query, list):
+        if not isinstance(stored_query, list) or not all(
+            isinstance(pair, (list, tuple))
+            and len(pair) == 2
+            and all(isinstance(name, str) for name in pair)
+            for pair in stored_query
+        ):
             raise SessionPersistenceError(
-                "malformed session: 'canonical_query' must be a list of attribute pairs"
+                "malformed session: 'canonical_query' must be a list of attribute-name pairs"
             )
-        try:
-            stored_atoms = {frozenset(pair) for pair in stored_query}
-        except TypeError as exc:
-            raise SessionPersistenceError(
-                "malformed session: 'canonical_query' must be a list of attribute pairs"
-            ) from exc
+        stored_atoms = {frozenset(pair) for pair in stored_query}
         replayed_atoms = {frozenset(atom.attributes) for atom in state.inferred_query()}
         if stored_atoms != replayed_atoms:
             raise SessionPersistenceError(

@@ -295,6 +295,32 @@ class TestBlockingInAsync:
         report = run_rule(tmp_path, "RPR011")
         assert report.ok
 
+    def test_descriptor_passing_in_async_def_is_flagged(self, tmp_path):
+        write(
+            tmp_path,
+            "pkg/transport.py",
+            """\
+            def send_connection(channel, conn):
+                return None
+            """,
+        )
+        write(
+            tmp_path,
+            "pkg/aio.py",
+            """\
+            from pkg.transport import send_connection
+
+
+            async def hand_over(channel, conn) -> None:
+                send_connection(channel, conn)
+            """,
+        )
+        report = run_rule(tmp_path, "RPR011")
+        assert len(report.findings) == 1
+        message = report.findings[0].message
+        assert "blocking transport call pkg.transport.send_connection()" in message
+        assert "async def 'hand_over'" in message
+
     def test_plain_sync_def_is_exempt(self, tmp_path):
         write(
             tmp_path,
@@ -458,6 +484,43 @@ class TestResourceLifecycle:
         report = run_rule(tmp_path, "RPR012")
         assert len(report.findings) == 1
         assert "framed_pair()" in report.findings[0].message
+
+
+    def test_received_connection_without_owner_is_flagged(self, tmp_path):
+        write(
+            tmp_path,
+            "pkg/transport.py",
+            """\
+            def recv_connection(channel, limit):
+                return channel
+            """,
+        )
+        write(
+            tmp_path,
+            "pkg/template.py",
+            """\
+            from pkg.transport import recv_connection
+
+
+            def fork_one(channel, fork):
+                conn = recv_connection(channel, 10)
+                fork(conn)
+                conn.close()
+
+
+            def fork_owned(channel, fork):
+                conn = recv_connection(channel, 10)
+                try:
+                    fork(conn)
+                finally:
+                    conn.close()
+            """,
+        )
+        report = run_rule(tmp_path, "RPR012")
+        assert len(report.findings) == 1
+        message = report.findings[0].message
+        assert "recv_connection() constructed in 'fork_one'" in message
+        assert "closed only outside try/finally" in message
 
 
 class TestProjectRulesIntegration:

@@ -628,13 +628,14 @@ class TestRawSockets:
             """\
             import multiprocessing
 
-            from repro.service.transport import Listener, connect
+            from repro.service.transport import framed_pair, send_connection
 
-            def launch(target, address):
+            def launch(target):
+                control, template_end = framed_pair()
                 ctx = multiprocessing.get_context("spawn")
-                process = ctx.Process(target=target, args=(address,), daemon=True)
+                process = ctx.Process(target=target, args=(template_end,), daemon=True)
                 process.start()
-                return process
+                return process, control, send_connection
             """,
         )
         assert findings == []

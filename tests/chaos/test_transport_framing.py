@@ -1,5 +1,6 @@
 """Transport framing under adversity: partial reads, oversized frames,
-interleaved replies, and reconnect-after-sever — with seeded fault schedules.
+interleaved replies, scheduled severs and passed connections — with seeded
+fault schedules.
 
 The framing layer's whole contract is that a caller sees Python objects or
 a typed :class:`TransportError`, never a torn frame: these tests attack the
@@ -21,10 +22,10 @@ from repro.service.transport import (
     ConnectionClosedError,
     FramedConnection,
     FrameTooLargeError,
-    Listener,
     TransportError,
-    connect,
     framed_pair,
+    recv_connection,
+    send_connection,
 )
 
 #: The distinct seeded schedules the acceptance criteria require (>= 3).
@@ -174,49 +175,95 @@ class TestInterleavedReplies:
 
 
 # --------------------------------------------------------------------------- #
-# Reconnect after sever
+# Scheduled sever
 # --------------------------------------------------------------------------- #
-class TestReconnectAfterSever:
+class TestScheduledSever:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_client_severed_by_schedule_reconnects_and_resumes(self, seed):
-        with Listener() as listener:
-            stop = threading.Event()
+    def test_round_trips_intact_until_the_scheduled_sever(self, seed):
+        client_end, server_end = framed_pair()
+        server = threading.Thread(target=_echo_loop, args=(server_end,))
+        server.start()
+        schedule = FaultSchedule.seeded(seed, length=24)
+        sever_at = schedule.sever_points()[0]
+        client = FaultyTransport(client_end, schedule)
+        completed = 0
+        with pytest.raises(ConnectionClosedError, match="severed"):
+            while True:
+                client.send({"seq": completed})
+                assert client.recv() == {"echo": {"seq": completed}}
+                completed += 1
+        # Everything before the scheduled sever round-tripped intact.
+        assert completed == sever_at // 2
+        assert client.severed
+        # The peer sees EOF and its loop ends: the sever is a real close.
+        server.join(timeout=5)
+        assert not server.is_alive()
 
-            def serve() -> None:
-                while not stop.is_set():
-                    try:
-                        conn = listener.accept(timeout=0.2)
-                    except TransportError:
-                        continue
-                    threading.Thread(target=_echo_loop, args=(conn,)).start()
 
-            server = threading.Thread(target=serve)
-            server.start()
-            try:
-                schedule = FaultSchedule.seeded(seed, length=24)
-                sever_at = schedule.sever_points()[0]
-                client = FaultyTransport(connect(listener.address), schedule)
-                completed = 0
-                with pytest.raises(ConnectionClosedError, match="severed"):
-                    while True:
-                        client.send({"seq": completed})
-                        assert client.recv() == {"echo": {"seq": completed}}
-                        completed += 1
-                # Everything before the scheduled sever round-tripped intact.
-                assert completed == sever_at // 2
-                assert client.severed
-                # The reconnect-aware dial gets a fresh conversation.
-                fresh = connect(listener.address, retries=3, retry_delay=0.05)
-                fresh.send({"after": "reconnect"})
-                assert fresh.recv() == {"echo": {"after": "reconnect"}}
-                fresh.close()
-            finally:
-                stop.set()
-                server.join()
+# --------------------------------------------------------------------------- #
+# Passing a connection over a connection
+# --------------------------------------------------------------------------- #
+class TestConnectionPassing:
+    def test_passed_connection_serves_after_the_sender_closes_its_copy(self):
+        sender, receiver = framed_pair()
+        near, far = framed_pair()
+        try:
+            send_connection(sender, far)
+            far.close()  # the sender's copy; the passed descriptor lives on
+            passed = recv_connection(receiver, max_frame_bytes=128)
+            with passed:
+                assert passed.fileno() != far.fileno()
+                assert passed.max_frame_bytes == 128
+                near.send({"to": "passed"})
+                assert passed.recv() == {"to": "passed"}
+                passed.send({"to": "near"})
+                assert near.recv() == {"to": "near"}
+            # Closing the passed end is the last close: the near end sees EOF.
+            with pytest.raises(ConnectionClosedError, match="frame boundary"):
+                near.recv()
+        finally:
+            for conn in (sender, receiver, near):
+                conn.close()
 
-    def test_connect_to_dead_listener_reports_every_attempt(self):
-        listener = Listener()
-        address = listener.address
-        listener.close()
-        with pytest.raises(TransportError, match="3 attempt"):
-            connect(address, retries=2, retry_delay=0.01)
+    def test_descriptor_between_frames_keeps_both_frames_intact(self):
+        sender, receiver = framed_pair()
+        near, far = framed_pair()
+        try:
+            sender.send({"cmd": "fork", "pad": "z" * 5000})
+            send_connection(sender, far)
+            sender.send({"cmd": "after"})
+            far.close()
+            assert receiver.recv() == {"cmd": "fork", "pad": "z" * 5000}
+            with recv_connection(receiver) as passed:
+                near.send({"ok": True})
+                assert passed.recv() == {"ok": True}
+            assert receiver.recv() == {"cmd": "after"}
+        finally:
+            for conn in (sender, receiver, near):
+                conn.close()
+
+    def test_byte_without_a_descriptor_is_a_typed_error(self):
+        raw, conn = _raw_pair()
+        raw.sendall(b"\0")
+        with pytest.raises(TransportError, match="expected one passed descriptor, got 0"):
+            recv_connection(conn)
+        raw.close()
+        conn.close()
+
+    def test_eof_before_a_descriptor_is_a_clean_close(self):
+        raw, conn = _raw_pair()
+        raw.close()
+        with pytest.raises(ConnectionClosedError, match="before a connection was passed"):
+            recv_connection(conn)
+        conn.close()
+
+    def test_passing_to_a_closed_peer_is_a_typed_error(self):
+        sender, receiver = framed_pair()
+        near, far = framed_pair()
+        receiver.close()
+        try:
+            with pytest.raises(ConnectionClosedError, match="passing a connection"):
+                send_connection(sender, far)
+        finally:
+            for conn in (sender, near, far):
+                conn.close()

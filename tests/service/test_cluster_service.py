@@ -11,6 +11,9 @@ from __future__ import annotations
 import asyncio
 import datetime
 import os
+import select
+import signal
+import socket
 import time
 
 import pytest
@@ -23,7 +26,6 @@ from repro.service.cluster import (
     ClusterServiceError,
     ClusterSessionService,
     ClusterWorkerError,
-    _rebuild_error,
     table_from_wire,
     table_to_wire,
 )
@@ -36,6 +38,12 @@ from repro.sessions.persistence import table_fingerprint
 @pytest.fixture(scope="module")
 def cluster():
     with ClusterSessionService(num_workers=2) as service:
+        yield service
+
+
+@pytest.fixture
+def thread_cluster():
+    with ClusterSessionService(num_workers=2, backend="thread") as service:
         yield service
 
 
@@ -299,6 +307,56 @@ class TestWorkerTemplate:
             assert state["pid"] != killed
             assert parent_pid(state["pid"]) == template
 
+    def test_respawns_pass_every_descriptor_to_one_owner(self):
+        # Each respawn makes a socketpair, passes one end to the template
+        # and keeps the other: an end left open on any path would show up as
+        # a descriptor that outlives its worker in one of the two processes.
+        with ClusterSessionService(num_workers=2, heartbeat_interval=None) as cluster:
+            fingerprint = cluster.register_table(tiny_table())
+            cluster.create(fingerprint, session_id="10")  # routed to worker 0
+            cluster.next_question("10")
+            cluster.answer("10", "+")
+            template = parent_pid(cluster.worker_states()[0]["pid"])
+            for slot in cluster._workers:
+                with socket.socket(fileno=os.dup(slot.conn.fileno())) as sock:
+                    assert sock.family == socket.AF_UNIX
+            supervisor_fds = len(os.listdir("/proc/self/fd"))
+            template_fds = len(os.listdir(f"/proc/{template}/fd"))
+            for cycle in range(1, 6):
+                cluster.kill_worker(0)
+                assert cluster.describe("10").num_labels == 1  # recovers the shard
+                assert cluster.worker_states()[0]["generation"] == cycle
+            assert parent_pid(cluster.worker_states()[0]["pid"]) == template
+            assert len(os.listdir("/proc/self/fd")) == supervisor_fds
+            assert len(os.listdir(f"/proc/{template}/fd")) == template_fds
+
+    @pytest.mark.parametrize("mp_context", ["spawn", "fork"])
+    def test_a_dead_workers_connection_reads_eof_at_once(self, mp_context):
+        # If the template, a sibling worker or this process still held a copy
+        # of a worker's end, the supervisor's end would never see EOF when the
+        # worker dies.  A ``fork`` start copies every descriptor open here into
+        # the template, so the first worker (whose launch starts the template)
+        # and a worker whose launch restarts a killed template are the cases.
+        def assert_eof_when_killed(cluster, index):
+            os.kill(cluster.worker_states()[index]["pid"], signal.SIGKILL)
+            readable, _, _ = select.select([cluster._workers[index].conn], [], [], 5.0)
+            if not readable:
+                cluster.kill_worker(index)  # close our end, or shutdown waits forever
+            assert readable, f"worker {index}'s connection is held open elsewhere"
+            assert cluster.session_ids() == []  # recovers the worker
+
+        with ClusterSessionService(
+            num_workers=2, mp_context=mp_context, heartbeat_interval=None
+        ) as cluster:
+            for index in (0, 1):
+                assert_eof_when_killed(cluster, index)
+            template = parent_pid(cluster.worker_states()[0]["pid"])
+            os.kill(template, signal.SIGKILL)
+            cluster.kill_worker(0)  # its relaunch starts a new template
+            assert cluster.session_ids() == []
+            assert parent_pid(cluster.worker_states()[0]["pid"]) != template
+            assert_eof_when_killed(cluster, 0)
+
     def test_shutdown_leaves_no_template_or_worker(self):
         cluster = ClusterSessionService(num_workers=2, heartbeat_interval=None)
         try:
@@ -351,6 +409,23 @@ class TestErrorParity:
                 with pytest.raises(SessionPersistenceError, match="must be a JSON object"):
                     cluster.resume(document, table=table)
 
+    @pytest.mark.parametrize("backend", ["sync", "thread", "process"])
+    def test_mixed_type_canonical_query_is_a_persistence_error(self, request, backend):
+        from repro.sessions.persistence import SessionPersistenceError
+
+        table = tiny_table()
+        sync = SessionService()
+        document = sync.save(sync.create(table).session_id)
+        document["canonical_query"] = [[1, "maybe"]]
+        if backend == "sync":
+            service = sync
+        elif backend == "thread":
+            service = request.getfixturevalue("thread_cluster")
+        else:
+            service = request.getfixturevalue("cluster")
+        with pytest.raises(SessionPersistenceError, match="attribute-name pairs"):
+            service.resume(document, table=table)
+
     def test_non_hex_session_id_rejected_clearly(self, cluster, flights_fingerprint):
         with pytest.raises(ClusterServiceError, match="hexadecimal"):
             cluster.create(flights_fingerprint, session_id="my-session")
@@ -359,7 +434,7 @@ class TestErrorParity:
         # An exception type outside the wire whitelist must NOT rebuild as a
         # SessionServiceError — the asyncio facade reaps sessions on those,
         # and an unexpected worker bug does not mean the session is gone.
-        error = _rebuild_error(
+        error = rebuild_error(
             {"status": "error", "kind": "AttributeError", "message": "boom"}
         )
         assert isinstance(error, ClusterWorkerError)
