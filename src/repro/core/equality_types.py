@@ -7,23 +7,30 @@ table (as bitmasks) and groups tuples by their type — two tuples with the
 same type are indistinguishable to every join query, which both the pruning
 logic and the lookahead strategies exploit.
 
-**Columnar / factorized construction.**  The index is no longer built by
-evaluating every atom on every row:
+**One type table over cells.**  The index never evaluates atoms per
+candidate of a cross product.  It assigns every *cell* an equality mask and
+keeps one small-int type code per cell:
 
-* Flat tables (given rows, or sampled cross products) intern each referenced
-  column into an integer code array once and compute each atom with one
-  tight column-pair loop (:func:`~repro.relational.columnar.columnar_equality_masks`).
-* Unsampled cross products are never enumerated at all.  Each base relation
-  is grouped by the code vector of the columns any atom touches
-  (:func:`~repro.relational.columnar.group_product`), and the distinct-type
-  histogram is built *factorized*: one equality evaluation per combination
-  of groups, weighted by the product of the group cardinalities — O(Σ|Rᵢ| +
-  #combinations × #atoms) instead of O(Π|Rᵢ| × #atoms).  Per-tuple masks and
-  per-type tuple-id lists are derived lazily, on demand, from the grouping.
+* a cell is a row of a flat table (given rows, or a sampled cross product),
+  whose masks come from one tight loop per atom over interned code arrays
+  (:func:`~repro.relational.columnar.columnar_equality_masks`), or from the
+  row-at-a-time fallback when cells are unhashable;
+* a cell is a group combination of an unsampled cross product: each base
+  relation is grouped by the codes of the columns any atom touches
+  (:func:`~repro.relational.columnar.group_product`) and the masks of all
+  combinations come from one broadcast comparison per atom
+  (:func:`~repro.relational.columnar.combination_masks`) — O(Σ|Rᵢ| +
+  #combinations × #atoms) instead of O(Π|Rᵢ| × #atoms).
+
+The type table is one ``np.unique`` over the cell masks, with the types
+numbered by first appearance (so by smallest tuple id), plus per-type arrays
+of mask, size (cell weights summed with ``np.add.at``) and smallest tuple id.
+Per-tuple masks and per-type id lists are derived lazily from the cells.
 
 The type-level API (:attr:`distinct_masks`, :meth:`type_sizes`,
-:meth:`tuples_with_mask`, :meth:`count_selected_by`) is therefore the cheap
-surface; downstream code should prefer it over sweeping per-tuple masks.
+:meth:`min_tuple_id`, :meth:`tuples_with_mask`, :meth:`count_selected_by`)
+is therefore the cheap surface; downstream code should prefer it over
+sweeping per-tuple masks.  Every value it returns is a Python ``int``.
 """
 
 from __future__ import annotations
@@ -38,75 +45,11 @@ from ..relational.columnar import (
     FactorGrouping,
     UnencodableValue,
     columnar_equality_masks,
-    combo_equalities,
+    combination_masks,
+    first_appearance_unique,
+    mask_lane,
 )
 from .atoms import AtomUniverse, popcount
-
-
-class _FactorizedTypes:
-    """The lazy per-tuple machinery of a factorized equality-type index.
-
-    ``combo_masks`` maps a group combination to its equality mask, and
-    ``combos_by_mask`` lists each mask's combinations in product order.
-    """
-
-    __slots__ = ("grouping", "combo_masks", "combos_by_mask")
-
-    def __init__(
-        self,
-        grouping: FactorGrouping,
-        combo_masks: dict[tuple[int, ...], int],
-        combos_by_mask: dict[int, list[tuple[int, ...]]],
-    ) -> None:
-        self.grouping = grouping
-        self.combo_masks = combo_masks
-        self.combos_by_mask = combos_by_mask
-
-    def mask_of(self, tuple_id: int) -> int:
-        """E(t) of one tuple: locate its group combination, look the mask up."""
-        return self.combo_masks[self.grouping.combo_of(tuple_id)]
-
-    def iter_all_masks(self) -> Iterator[int]:
-        """E(t) for every tuple, in ``tuple_id`` order, streamed."""
-        combo_masks = self.combo_masks
-        for combo in itertools.product(*self.grouping.row_gids):
-            yield combo_masks[combo]
-
-    def all_masks(self) -> tuple[int, ...]:
-        """E(t) for every tuple, in ``tuple_id`` order (full materialisation)."""
-        return tuple(self.iter_all_masks())
-
-    #: Above this many combinations per type, per-combination numpy dispatch
-    #: costs more than the ids it produces (large grids put most types on
-    #: ~one candidate per combination); the bulk mixed-radix loop wins.
-    _MANY_COMBOS = 4096
-
-    def ids_of_mask(self, mask: int) -> tuple[int, ...]:
-        """All tuple ids of one equality type, ascending."""
-        combos = self.combos_by_mask.get(mask, ())
-        if not combos:
-            return ()
-        grouping = self.grouping
-        if len(combos) <= self._MANY_COMBOS:
-            arrays = [grouping.combo_id_array(combo) for combo in combos]
-            if len(arrays) == 1:
-                merged = arrays[0]  # each combination's ids are already ascending
-            else:
-                merged = _np.sort(_np.concatenate(arrays))
-            return tuple(merged.tolist())
-        return tuple(grouping.ids_of_combos(combos))
-
-    def min_id_of_mask(self, mask: int) -> int | None:
-        """The smallest tuple id of one equality type, without materialising.
-
-        Each combination's smallest id uses the first (smallest) member of
-        every factor group; the type's minimum is the smallest across its
-        combinations — O(#combinations × #factors) instead of O(type size).
-        """
-        combos = self.combos_by_mask.get(mask)
-        if not combos:
-            return None
-        return self.grouping.min_id_of_combos(combos)
 
 
 class EqualityTypeIndex:
@@ -138,70 +81,56 @@ class EqualityTypeIndex:
     def __init__(self, universe: AtomUniverse) -> None:
         self.universe = universe
         self.table = universe.table
-        pairs = universe.attribute_positions
         self._masks: tuple[int, ...] | None = None
         self._ids_by_mask: dict[int, tuple[int, ...]] = {}
-        self._factorized: _FactorizedTypes | None = None
-        factorization = self.table.factorization()
+        #: The factor grouping whose group combinations are the cells, or
+        #: ``None`` when the cells are the table's rows.
+        self._grouping: FactorGrouping | None = None
         try:
-            if factorization is not None:
-                self._build_factorized(factorization, pairs)
-            else:
-                self._build_columnar(pairs)
+            self._grouping, cell_masks, weights = self._cells(universe.attribute_positions)
         except UnencodableValue:
             # Unhashable cells cannot be interned; fall back to evaluating
             # every atom on every (possibly reconstructed) row.
-            self._build_rowwise()
-        self._distinct: tuple[int, ...] = tuple(self._type_sizes)
-        self._sizes_view: Mapping[int, int] = MappingProxyType(self._type_sizes)
+            cell_masks = _np.asarray(
+                [universe.equality_mask(row) for row in self.table],
+                dtype=mask_lane(universe.size),
+            )
+            weights = 1
+        type_masks, self._codes, first_cells = first_appearance_unique(cell_masks)
+        sizes = _np.zeros(len(type_masks), dtype=_np.asarray(weights).dtype)
+        _np.add.at(sizes, self._codes, weights)
+        # Cells in order have ascending first tuples, so a type's smallest
+        # tuple id is the first tuple of its first cell.
+        if self._grouping is not None:
+            first_cells = self._grouping.first_ids(first_cells)
+        self._type_masks = type_masks
+        self._distinct: tuple[int, ...] = tuple(type_masks.tolist())
+        self._code_of = {mask: code for code, mask in enumerate(self._distinct)}
+        self._min_ids: tuple[int, ...] = tuple(first_cells.tolist())
+        self._sizes_view: Mapping[int, int] = MappingProxyType(
+            dict(zip(self._distinct, sizes.tolist(), strict=True))
+        )
 
-    # ------------------------------------------------------------------ #
-    # Construction paths
-    # ------------------------------------------------------------------ #
-    def _build_factorized(self, factorization, pairs) -> None:
-        """Factorized histogram: one evaluation per group combination."""
+    def _cells(self, pairs) -> tuple[FactorGrouping | None, _np.ndarray, _np.ndarray | int]:
+        """The cells' grouping, every cell's equality mask, and its tuple count."""
         used_columns = sorted({position for pair in pairs for position in pair})
-        grouping = self.table.factor_grouping(used_columns)
-        combo_masks: dict[tuple[int, ...], int] = {}
-        combos_by_mask: dict[int, list[tuple[int, ...]]] = {}
-        sizes = {}
-        for combo, mask, count in combo_equalities(grouping, pairs):
-            combo_masks[combo] = mask
-            sizes[mask] = sizes.get(mask, 0) + count
-            combos_by_mask.setdefault(mask, []).append(combo)
-        self._factorized = _FactorizedTypes(grouping, combo_masks, combos_by_mask)
-        self._type_sizes = sizes
-
-    def _build_columnar(self, pairs) -> None:
-        """Flat tables: per-atom tight loops over interned code arrays."""
-        used_columns = sorted({position for pair in pairs for position in pair})
+        if self.table.factorization() is not None:
+            grouping = self.table.factor_grouping(used_columns)
+            grid = combination_masks(grouping, pairs)
+            return grouping, grid.reshape(-1), grouping.cell_weights()
         codes = dict(zip(used_columns, self.table.equality_codes(used_columns), strict=True))
-        self._finish_flat(columnar_equality_masks(codes, len(self.table), pairs))
-
-    def _build_rowwise(self) -> None:
-        """Last-resort seed behaviour: one ``equality_mask`` call per row."""
-        universe = self.universe
-        self._finish_flat([universe.equality_mask(row) for row in self.table])
-
-    def _finish_flat(self, masks: list[int]) -> None:
-        self._masks = tuple(masks)
-        grouped: dict[int, list[int]] = {}
-        for tuple_id, mask in enumerate(masks):
-            grouped.setdefault(mask, []).append(tuple_id)
-        self._ids_by_mask = {mask: tuple(ids) for mask, ids in grouped.items()}
-        self._type_sizes = {mask: len(ids) for mask, ids in self._ids_by_mask.items()}
+        return None, columnar_equality_masks(codes, len(self.table), pairs), 1
 
     # ------------------------------------------------------------------ #
     # Per-tuple access
     # ------------------------------------------------------------------ #
     def mask(self, tuple_id: int) -> int:
         """The equality type E(t) of a tuple, as a bitmask."""
-        if self._masks is not None:
-            return self._masks[tuple_id]
         if not 0 <= tuple_id < len(self.table):
             raise IndexError(f"tuple id {tuple_id} out of range")
-        assert self._factorized is not None
-        return self._factorized.mask_of(tuple_id)
+        if self._grouping is not None:
+            tuple_id = self._grouping.cell_of(tuple_id)
+        return self._distinct[self._codes[tuple_id]]
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -212,20 +141,25 @@ class EqualityTypeIndex:
         :meth:`iter_masks`.
         """
         if self._masks is None:
-            assert self._factorized is not None
-            self._masks = self._factorized.all_masks()
+            self._masks = tuple(self.iter_masks())
         return self._masks
 
     def iter_masks(self) -> Iterator[int]:
         """E(t) for every tuple in ``tuple_id`` order, streamed.
 
         Unlike :attr:`masks` this never materialises (nor caches) the full
-        per-tuple tuple on a factorized index.
+        per-tuple tuple on a factorized index: it reads the cells one block
+        per row of the leading base relation.
         """
         if self._masks is not None:
             return iter(self._masks)
-        assert self._factorized is not None
-        return self._factorized.iter_all_masks()
+        if self._grouping is None:
+            blocks: Iterator[_np.ndarray] = iter([self._codes])
+        else:
+            blocks = (self._codes[cells] for cells in self._grouping.iter_row_cells())
+        return itertools.chain.from_iterable(
+            self._type_masks[codes].tolist() for codes in blocks
+        )
 
     def atom_count(self, tuple_id: int) -> int:
         """Number of atoms that hold on the tuple."""
@@ -243,25 +177,24 @@ class EqualityTypeIndex:
         """Tuple ids whose equality type is exactly ``mask`` (ascending)."""
         ids = self._ids_by_mask.get(mask)
         if ids is None:
-            if self._factorized is None:
+            code = self._code_of.get(mask)
+            if code is None:
                 return ()
-            ids = self._factorized.ids_of_mask(mask)
+            found = _np.flatnonzero(self._codes == code)
+            if self._grouping is not None:  # the cells are group combinations
+                found = self._grouping.ids_of_cells(found)
+            ids = tuple(found.tolist())
             self._ids_by_mask[mask] = ids
         return ids
 
     def min_tuple_id(self, mask: int) -> int | None:
         """The smallest tuple id of one equality type, or ``None``.
 
-        On factorized tables this avoids materialising (and caching) the
-        type's full id list — the strategies' representative-picking helper
-        only needs the minimum.
+        One lookup in the per-type array: no id list is built, which is why
+        the strategies' representative-picking tie-break reads this.
         """
-        ids = self._ids_by_mask.get(mask)
-        if ids is not None:
-            return ids[0] if ids else None
-        if self._factorized is None:
-            return None
-        return self._factorized.min_id_of_mask(mask)
+        code = self._code_of.get(mask)
+        return None if code is None else self._min_ids[code]
 
     def type_sizes(self) -> Mapping[int, int]:
         """How many tuples share each distinct equality type (cached view)."""
@@ -282,7 +215,7 @@ class EqualityTypeIndex:
     def count_selected_by(self, query_mask: int) -> int:
         """Number of tuples selected by ``query_mask`` (type-level, no ids)."""
         return sum(
-            count for mask, count in self._type_sizes.items() if query_mask & ~mask == 0
+            count for mask, count in self._sizes_view.items() if query_mask & ~mask == 0
         )
 
     def __len__(self) -> int:
@@ -294,5 +227,5 @@ class EqualityTypeIndex:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"EqualityTypeIndex(tuples={len(self.table)}, "
-            f"distinct_types={len(self._type_sizes)}, atoms={self.universe.size})"
+            f"distinct_types={len(self._distinct)}, atoms={self.universe.size})"
         )

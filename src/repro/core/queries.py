@@ -23,6 +23,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING
 
+import numpy as _np
+
 from ..relational import columnar
 from ..relational.candidate import CandidateTable
 from .atoms import AtomUniverse, EqualityAtom
@@ -104,11 +106,12 @@ class JoinQuery:
         return self.selects_row(table.row(tuple_id), position_of)
 
     def _factorized_match(self, table: CandidateTable):
-        """``(grouping, pairs)`` for factorized evaluation, or ``None``.
+        """``(grouping, cells)`` for factorized evaluation, or ``None``.
 
         Applicable when the table is an unsampled cross product whose cells
         can be value-interned; the query is then evaluated once per
-        combination of base-relation groups instead of once per candidate.
+        combination of base-relation groups instead of once per candidate,
+        and ``cells`` are the combinations on which every atom holds.
         """
         factorization = table.factorization()
         if factorization is None:
@@ -122,19 +125,15 @@ class JoinQuery:
             grouping = table.factor_grouping(used)
         except columnar.UnencodableValue:
             return None
-        return grouping, pairs
+        grid = columnar.combination_masks(grouping, pairs).reshape(-1)
+        return grouping, _np.flatnonzero(grid == (1 << len(pairs)) - 1)
 
     def evaluate(self, table: CandidateTable) -> frozenset[int]:
         """The set of tuple ids of ``table`` selected by the query."""
         match = self._factorized_match(table)
         if match is not None:
-            grouping, pairs = match
-            full = (1 << len(pairs)) - 1
-            selected: list[int] = []
-            for combo, mask, _ in columnar.combo_equalities(grouping, pairs):
-                if mask == full:
-                    selected.extend(grouping.ids_of_combo(combo))
-            return frozenset(selected)
+            grouping, cells = match
+            return frozenset(grouping.ids_of_cells(cells).tolist())
         position_of = {name: pos for pos, name in enumerate(table.attribute_names)}
         # Streamed iteration: the fallback must not force a factorized table
         # (e.g. one with unhashable cells) to materialise its flat rows.
@@ -153,13 +152,8 @@ class JoinQuery:
         """
         match = self._factorized_match(table)
         if match is not None:
-            grouping, pairs = match
-            full = (1 << len(pairs)) - 1
-            return sum(
-                count
-                for _, mask, count in columnar.combo_equalities(grouping, pairs)
-                if mask == full
-            )
+            grouping, cells = match
+            return int(grouping.cell_weights()[cells].sum())
         return len(self.evaluate(table))
 
     def selectivity(self, table: CandidateTable) -> float:

@@ -17,13 +17,17 @@ one.  This module provides the succinct representations that replace it:
 * :class:`FactorGrouping` / :func:`group_product` — group each base
   relation's rows by the code vector of a chosen column subset.  Properties
   that only depend on those columns (equality types, join-query selection)
-  are then computed once per *combination of groups* and multiplied out by
-  group cardinalities, never per candidate tuple — the factorised evaluation
-  idea of FDB-style factorised databases.
-* :func:`combo_equalities` / :func:`columnar_equality_masks` — the two
-  evaluation kernels built on top: per-group-combination equality bitmasks
-  for factorised tables, and per-atom tight loops over code arrays for flat
-  (already materialised or sampled) tables.
+  are then computed once per *cell* — a combination of groups, one per
+  relation — and multiplied out by group cardinalities, never per candidate
+  tuple: the factorised evaluation idea of FDB-style factorised databases.
+  The cells form a dense grid with one axis per relation; the grouping maps
+  tuples to cells and cells back to their ascending tuple ids, all as array
+  arithmetic.
+* :func:`combination_masks` / :func:`columnar_equality_masks` — the two
+  evaluation kernels built on top: the grid of every cell's equality
+  bitmask, one broadcast comparison per atom, for factorised tables, and
+  per-atom tight loops over code arrays for flat (already materialised or
+  sampled) tables.
 
 Everything here is value-agnostic plumbing; the equality-type semantics live
 in :mod:`repro.core.equality_types`, which consumes these helpers.
@@ -32,6 +36,7 @@ in :mod:`repro.core.equality_types`, which consumes these helpers.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator, Mapping, Sequence
 
 import numpy as _np
@@ -92,11 +97,20 @@ class ValueCodec:
         return [code(value) for value in values]
 
 
+def mask_lane(num_pairs: int) -> type:
+    """The array lane of masks over ``num_pairs`` atoms.
+
+    Up to 62 atoms the masks fit int64 lanes; past that they are Python
+    ints in an ``object`` array, built by the same expressions.
+    """
+    return _np.int64 if num_pairs < 63 else object
+
+
 def columnar_equality_masks(
     codes: Mapping[int, Sequence[int]],
     num_rows: int,
     pairs: Sequence[tuple[int, int]],
-) -> list[int]:
+) -> _np.ndarray:
     """Per-row equality bitmasks, computed column-pair-wise over code arrays.
 
     ``codes`` maps each referenced column position to its equality-code
@@ -110,16 +124,14 @@ def columnar_equality_masks(
         column: _np.asarray(column_codes, dtype=_np.int64)
         for column, column_codes in codes.items()
     }
-    # Up to 62 pairs the masks fit int64 lanes; past that they are Python
-    # ints in an object array, built by the same expressions.
-    masks_arr = _np.zeros(num_rows, dtype=_np.int64 if len(pairs) < 63 else object)
+    masks_arr = _np.zeros(num_rows, dtype=mask_lane(len(pairs)))
     bit = 1
     for left, right in pairs:
         left_codes = arrays[left]
         right_codes = arrays[right]
         masks_arr[(left_codes >= 0) & (left_codes == right_codes)] |= bit
         bit <<= 1
-    return masks_arr.tolist()
+    return masks_arr
 
 
 class ProductFactorization:
@@ -219,124 +231,146 @@ class ProductFactorization:
 class FactorGrouping:
     """Per-factor grouping of base rows by the codes of selected columns.
 
-    ``profiles[f][g]`` is the code vector shared by group ``g`` of factor
-    ``f``; ``members[f][g]`` lists its base-row indices (ascending) and
-    ``row_gids[f][r]`` maps base row ``r`` to its group.  ``slot_of`` locates
-    a flat column inside the profiles: ``slot_of[column] = (factor, slot)``.
+    Groups are numbered by first appearance, per factor.  ``profiles[f]`` is
+    factor ``f``'s ``(#groups, #slots)`` array of group code vectors and
+    ``row_gids[f]`` maps each base row to its group; ``slot_of`` locates a
+    flat column inside the profiles: ``slot_of[column] = (factor, slot)``.
     Codes were produced by one shared codec, so they compare across factors.
+
+    A *cell* is one combination of groups, one per factor, numbered by its
+    C-order position in the grid of shape :attr:`shape`.  Because groups are
+    numbered by first appearance, each cell's first tuple is the
+    first-member combination, and cells in C order have ascending first
+    tuples.
     """
 
     __slots__ = (
         "factorization",
         "profiles",
-        "members",
         "row_gids",
         "slot_of",
-        "_member_arrays",
+        "shape",
+        "_counts",
+        "_starts",
+        "_grouped_rows",
     )
 
     def __init__(
         self,
         factorization: ProductFactorization,
-        profiles: list[list[tuple[int, ...]]],
-        members: list[list[list[int]]],
-        row_gids: list[list[int]],
+        profiles: list[_np.ndarray],
+        row_gids: list[_np.ndarray],
         slot_of: dict[int, tuple[int, int]],
     ) -> None:
         self.factorization = factorization
         self.profiles = profiles
-        self.members = members
         self.row_gids = row_gids
         self.slot_of = slot_of
-        self._member_arrays: dict[tuple[int, int], "_np.ndarray"] | None = None
+        self.shape = tuple(len(profile) for profile in profiles)
+        self._counts = [
+            _np.bincount(gids, minlength=groups)
+            for gids, groups in zip(row_gids, self.shape, strict=True)
+        ]
+        self._starts = [_np.cumsum(counts) - counts for counts in self._counts]
+        # Each factor's rows ordered by group, ascending within a group.
+        self._grouped_rows = [_np.argsort(gids, kind="stable") for gids in row_gids]
 
     def group_counts(self) -> list[list[int]]:
         """Group cardinalities, per factor."""
-        return [[len(member) for member in factor] for factor in self.members]
+        return [counts.tolist() for counts in self._counts]
 
-    def combo_of(self, tuple_id: int) -> tuple[int, ...]:
-        """The group combination a candidate tuple belongs to."""
-        digits = self.factorization.digits(tuple_id)
-        return tuple(
-            self.row_gids[factor][digit] for factor, digit in enumerate(digits)
-        )
+    @property
+    def _id_lane(self) -> type:
+        """int64 while every tuple id fits below 2⁶², Python ints past it."""
+        return _np.int64 if self.factorization.num_rows < (1 << 62) else object
 
-    def ids_of_combo(self, combo: Sequence[int]) -> list[int]:
-        """The candidate tuple ids of one group combination (ascending)."""
-        return self.combo_id_array(combo).tolist()
+    def cell_of(self, tuple_id: int) -> int:
+        """The cell (group combination) a candidate tuple belongs to."""
+        cell = 0
+        for gids, groups, digit in zip(
+            self.row_gids, self.shape, self.factorization.digits(tuple_id), strict=True
+        ):
+            cell = cell * groups + int(gids[digit])
+        return cell
 
-    def ids_of_combos(self, combos: Sequence[Sequence[int]]) -> list[int]:
-        """The candidate ids of many combinations, merged ascending.
+    def cell_weights(self) -> _np.ndarray:
+        """How many candidate tuples each cell holds, in cell order."""
+        weights = _np.ones(1, dtype=self._id_lane)
+        for counts in self._counts:
+            weights = _np.multiply.outer(weights, counts.astype(self._id_lane)).reshape(-1)
+        return weights
 
-        The bulk form of :meth:`ids_of_combo` for types that span very many
-        combinations (large grids put most types on ~one candidate per
-        combination, where per-combination dispatch — numpy array setup in
-        particular — dominates the actual id arithmetic): one tight
-        mixed-radix loop over the member lists, then one sort.
+    def iter_row_cells(self) -> Iterator[_np.ndarray]:
+        """The cell of every candidate tuple in ``tuple_id`` order, in blocks.
+
+        One block per base row of the leading factor, so nothing of size
+        #tuples is built.
         """
-        members = self.members
-        strides = self.factorization.strides
-        ids: list[int] = []
-        append = ids.append
-        for combo in combos:
-            member_lists = [members[factor][gid] for factor, gid in enumerate(combo)]
-            for digits in itertools.product(*member_lists):
-                tuple_id = 0
-                for digit, stride in zip(digits, strides, strict=True):
-                    tuple_id += digit * stride
-                append(tuple_id)
+        rest = _np.zeros(1, dtype=_np.intp)
+        for gids, groups in zip(self.row_gids[1:], self.shape[1:], strict=True):
+            rest = (rest[:, None] * groups + gids[None, :]).reshape(-1)
+        span = math.prod(self.shape[1:])
+        for gid in self.row_gids[0].tolist():
+            yield gid * span + rest
+
+    def first_ids(self, cells: _np.ndarray) -> _np.ndarray:
+        """The smallest candidate id of each given cell: its first members."""
+        ids = _np.zeros(len(cells), dtype=self._id_lane)
+        gids = _np.unravel_index(cells, self.shape)
+        for grouped, starts, factor_gids, stride in zip(
+            self._grouped_rows, self._starts, gids, self.factorization.strides, strict=True
+        ):
+            ids += grouped[starts[factor_gids]].astype(self._id_lane) * stride
+        return ids
+
+    def ids_of_cells(self, cells: _np.ndarray) -> _np.ndarray:
+        """The candidate ids of the given cells, as one ascending vector.
+
+        Mixed-radix expansion, one factor at a time: every partial id is
+        repeated once per member of its cell's group in the next factor and
+        offset by ``member * stride``.  The members of a group are a
+        contiguous run of the grouped rows, found by a segmented arange.
+        """
+        lane = self._id_lane
+        gids = _np.unravel_index(cells, self.shape)
+        owner = _np.arange(len(cells))
+        ids = _np.zeros(len(cells), dtype=lane)
+        for grouped, counts, starts, factor_gids, stride in zip(
+            self._grouped_rows,
+            self._counts,
+            self._starts,
+            gids,
+            self.factorization.strides,
+            strict=True,
+        ):
+            group = factor_gids[owner]
+            repeats = counts[group]
+            # Where each run starts among the grouped rows, less where it
+            # starts in the output.
+            shifts = starts[group] - _np.cumsum(repeats) + repeats
+            owner = _np.repeat(owner, repeats)
+            positions = _np.arange(len(owner)) + _np.repeat(shifts, repeats)
+            ids = _np.repeat(ids, repeats) + grouped[positions].astype(lane) * stride
         ids.sort()
         return ids
 
-    def min_id_of_combos(self, combos: Sequence[Sequence[int]]) -> int | None:
-        """The smallest candidate id across many combinations.
 
-        Each combination's smallest id uses the first (= smallest) member of
-        every factor group, so the scan is O(#combinations × #factors) with
-        nothing materialised.
-        """
-        first_members = [[group[0] for group in factor] for factor in self.members]
-        strides = self.factorization.strides
-        best: int | None = None
-        for combo in combos:
-            tuple_id = 0
-            for factor, gid in enumerate(combo):
-                tuple_id += first_members[factor][gid] * strides[factor]
-            if best is None or tuple_id < best:
-                best = tuple_id
-        return best
+def first_appearance_unique(
+    values: _np.ndarray, axis: int | None = None
+) -> tuple[_np.ndarray, _np.ndarray, _np.ndarray]:
+    """``np.unique`` with the distinct values numbered by first appearance.
 
-    def _member_array(self, factor: int, gid: int) -> _np.ndarray:
-        """One group's base-row indices as a cached vector.
-
-        int64 while every tuple id fits below 2⁶², Python ints (``object``)
-        past it, so the id arithmetic of :meth:`combo_id_array` is exact.
-        """
-        if self._member_arrays is None:
-            self._member_arrays = {}
-        key = (factor, gid)
-        cached = self._member_arrays.get(key)
-        if cached is None:
-            lane = _np.int64 if self.factorization.num_rows < (1 << 62) else object
-            cached = _np.asarray(self.members[factor][gid], dtype=lane)
-            self._member_arrays[key] = cached
-        return cached
-
-    def combo_id_array(self, combo: Sequence[int]) -> _np.ndarray:
-        """The candidate tuple ids of one combination, as an ascending vector.
-
-        Mixed-radix broadcast: each factor contributes ``member * stride``
-        terms, and because every partial sum is strictly below the preceding
-        factor's stride, lexicographic combination order coincides with
-        numeric tuple-id order — the sums come out ascending without a sort.
-        """
-        strides = self.factorization.strides
-        ids: _np.ndarray | None = None
-        for factor, gid in enumerate(combo):
-            term = self._member_array(factor, gid) * strides[factor]
-            ids = term if ids is None else (ids[:, None] + term[None, :]).reshape(-1)
-        assert ids is not None  # products have at least one factor
-        return ids
+    Returns ``(distinct, codes, first)``: ``distinct[codes]`` rebuilds
+    ``values`` (along ``axis``), and ``first[i]`` is the position where
+    ``distinct[i]`` first occurs, so ``first`` is ascending.
+    """
+    distinct, first, inverse = _np.unique(
+        values, return_index=True, return_inverse=True, axis=axis
+    )
+    order = _np.argsort(first)
+    rank = _np.empty_like(order)
+    rank[order] = _np.arange(len(order))
+    return distinct[order], rank[inverse.reshape(-1)], first[order]
 
 
 def group_product(
@@ -347,7 +381,7 @@ def group_product(
     The factorised analogue of "project each relation on the columns any atom
     touches and deduplicate": one pass per base relation, O(Σ|Rᵢ|), after
     which per-candidate properties of those columns collapse to per-group-
-    combination properties.
+    combination properties.  A factor no column touches is one group.
 
     Raises :class:`UnencodableValue` when a cell cannot be interned.
     """
@@ -360,62 +394,45 @@ def group_product(
     for column in columns:
         factor, local = factorization.locate(column)
         slot_of[column] = (factor, per_factor[factor].index(local))
-    profiles: list[list[tuple[int, ...]]] = []
-    members: list[list[list[int]]] = []
-    row_gids: list[list[int]] = []
+    profiles: list[_np.ndarray] = []
+    row_gids: list[_np.ndarray] = []
     for factor, locals_used in enumerate(per_factor):
         rows = factorization.factor_rows[factor]
-        if locals_used:
-            code_columns = [
-                codec.encode([row[local] for row in rows]) for local in locals_used
-            ]
-            keys: Sequence[tuple[int, ...]] = list(zip(*code_columns, strict=True))
-        else:
-            # No atom touches this factor: all its rows are interchangeable.
-            keys = [()] * len(rows)
-        gid_of: dict[tuple[int, ...], int] = {}
-        factor_profiles: list[tuple[int, ...]] = []
-        factor_members: list[list[int]] = []
-        factor_gids: list[int] = []
-        for row_index, key in enumerate(keys):
-            gid = gid_of.get(key)
-            if gid is None:
-                gid = len(factor_profiles)
-                gid_of[key] = gid
-                factor_profiles.append(key)
-                factor_members.append([])
-            factor_members[gid].append(row_index)
-            factor_gids.append(gid)
-        profiles.append(factor_profiles)
-        members.append(factor_members)
-        row_gids.append(factor_gids)
-    return FactorGrouping(factorization, profiles, members, row_gids, slot_of)
+        keys = _np.zeros((len(rows), len(locals_used)), dtype=_np.int64)
+        for slot, local in enumerate(locals_used):
+            keys[:, slot] = codec.encode([row[local] for row in rows])
+        profile, gids, _ = first_appearance_unique(keys, axis=0)
+        profiles.append(profile)
+        row_gids.append(gids)
+    return FactorGrouping(factorization, profiles, row_gids, slot_of)
 
 
-def combo_equalities(
+def combination_masks(
     grouping: FactorGrouping, pairs: Sequence[tuple[int, int]]
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Yield ``(combo, mask, count)`` for every combination of factor groups.
+) -> _np.ndarray:
+    """The equality mask of every cell, as a dense grid of shape ``grouping.shape``.
 
-    ``mask`` has bit ``i`` set when the columns of ``pairs[i]`` hold equal
-    non-null values on every candidate tuple of the combination, and
-    ``count`` is the number of such tuples (the product of the group
-    cardinalities).  Total work is O(#combinations × #pairs) — independent of
-    the number of candidate tuples.
+    Bit ``i`` of a cell is set when the columns of ``pairs[i]`` hold equal
+    non-null values on every candidate tuple of the cell.  Each pair is one
+    broadcast comparison of two profile code columns, each laid along its
+    factor's axis, OR-ed into the grid in place: the only temporary is one
+    boolean slab per pair, and the work is independent of the number of
+    candidate tuples.  Masks use the lanes of :func:`columnar_equality_masks`.
     """
-    slot_of = grouping.slot_of
-    pair_slots = [(slot_of[left], slot_of[right]) for left, right in pairs]
-    profiles = grouping.profiles
-    counts = grouping.group_counts()
-    for combo in itertools.product(*(range(len(factor)) for factor in profiles)):
-        mask = 0
-        bit = 1
-        for (left_factor, left_slot), (right_factor, right_slot) in pair_slots:
-            code = profiles[left_factor][combo[left_factor]][left_slot]
-            if code >= 0 and code == profiles[right_factor][combo[right_factor]][right_slot]:
-                mask |= bit
-            bit <<= 1
-        count = 1
-        for factor, gid in enumerate(combo):
-            count *= counts[factor][gid]
-        yield combo, mask, count
+    shape = grouping.shape
+
+    def along_axis(column: int) -> _np.ndarray:
+        factor, slot = grouping.slot_of[column]
+        axes = [1] * len(shape)
+        axes[factor] = shape[factor]
+        return grouping.profiles[factor][:, slot].reshape(axes)
+
+    grid = _np.zeros(shape, dtype=mask_lane(len(pairs)))
+    bit = 1
+    for left, right in pairs:
+        left_codes = along_axis(left)
+        equal = left_codes == along_axis(right)
+        equal &= left_codes >= 0
+        _np.bitwise_or(grid, bit, out=grid, where=equal)
+        bit <<= 1
+    return grid

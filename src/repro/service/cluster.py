@@ -1085,6 +1085,9 @@ class ClusterSessionService:
                 if slot.conn is None:
                     continue
                 try:
+                    # A worker that never answers must not hang shutdown:
+                    # past the deadline the template SIGKILLs it below.
+                    slot.conn.settimeout(timeout)
                     slot.conn.send({"cmd": "shutdown"})
                     slot.conn.recv()
                 except TransportError:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 
 from repro import GoalQueryOracle, infer_join
+from repro.core.atoms import AtomUniverse
+from repro.core.equality_types import EqualityTypeIndex
 from repro.core.queries import JoinQuery
 from repro.core.state import InferenceState
 from repro.datasets.synthetic import SyntheticConfig, generate_candidate_table, random_goal_query
@@ -63,3 +65,40 @@ def test_64_atom_guided_lookahead_session_converges():
     result = infer_join(table, GoalQueryOracle(goal), strategy="lookahead-entropy")
     assert result.converged
     assert result.matches_goal(goal)
+
+
+def test_64_atom_factorized_index_matches_row_at_a_time():
+    # 2 × 8 attributes × 6 rows over {0, 1, None}: 36 candidates, 64 atoms,
+    # so the grid of group-combination masks is an ``object`` array.
+    rng = random.Random(11)
+    names = [f"a{i}" for i in range(1, 9)]
+    relations = [
+        Relation.build(
+            name, names, [tuple(rng.choice([0, 1, None]) for _ in names) for _ in range(6)]
+        )
+        for name in ("R1", "R2")
+    ]
+    table = CandidateTable.cross_product(DatabaseInstance("wide-nulls", relations))
+    universe = AtomUniverse.from_table(table)
+    assert universe.size == 64
+    index = EqualityTypeIndex(universe)
+    masks = [universe.equality_mask(row) for row in table]
+    groups: dict[int, list[int]] = {}
+    for tuple_id, mask in enumerate(masks):
+        groups.setdefault(mask, []).append(tuple_id)
+    assert max(groups) >= 1 << 62
+    assert list(index.masks) == masks
+    assert [index.mask(tuple_id) for tuple_id in range(len(table))] == masks
+    assert list(index.distinct_masks) == list(groups)
+    assert list(index.type_sizes().items()) == [(mask, len(ids)) for mask, ids in groups.items()]
+    for mask, ids in groups.items():
+        assert index.min_tuple_id(mask) == ids[0]
+        assert index.tuples_with_mask(mask) == tuple(ids)
+    query = JoinQuery([("R1.a1", "R2.a1"), ("R1.a8", "R2.a8")])
+    position_of = {name: pos for pos, name in enumerate(table.attribute_names)}
+    expected = frozenset(
+        tuple_id for tuple_id, row in enumerate(table) if query.selects_row(row, position_of)
+    )
+    assert expected
+    assert query.evaluate(table) == expected
+    assert query.count_selected(table) == len(expected)

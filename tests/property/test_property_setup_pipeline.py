@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from unittest.mock import patch
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import CandidateTable
 from repro.core.atoms import AtomScope, AtomUniverse
-from repro.core.equality_types import EqualityTypeIndex, _FactorizedTypes
+from repro.core.equality_types import EqualityTypeIndex
 from repro.core.queries import JoinQuery
 from repro.exceptions import AtomUniverseError
 from repro.relational.candidate import CandidateAttribute
@@ -84,40 +83,36 @@ def _seed_groups(masks: list[int]) -> dict[int, tuple[int, ...]]:
     return {mask: tuple(ids) for mask, ids in grouped.items()}
 
 
-def _assert_ids_match_seed(
-    index: EqualityTypeIndex, groups: dict[int, tuple[int, ...]], absent: int
-) -> None:
-    """Per-type minima and ids; ``index`` must not have cached any ids yet.
-
-    The minima are checked first, so on a factorized index they come from
-    the per-combination scan rather than from a cached id list.
-    """
-    for mask, ids in groups.items():
-        assert index.min_tuple_id(mask) == ids[0]
-    for mask, ids in groups.items():
-        assert index.tuples_with_mask(mask) == ids
-        assert index.min_tuple_id(mask) == ids[0]
-    assert index.tuples_with_mask(absent) == ()
-    assert index.min_tuple_id(absent) is None
+def _assert_ints(values) -> None:
+    """Public returns are Python ints: wire frames JSON-encode them."""
+    assert all(type(value) is int for value in values)
 
 
 def _assert_index_matches_seed(index: EqualityTypeIndex, universe: AtomUniverse) -> None:
     """The index agrees with per-row atom evaluation on every observable.
 
-    ``index`` must be fresh.  The id checks run on it and then on a second
-    fresh index with the many-combination threshold at 0, so factorized
-    types also take the bulk mixed-radix loop of ``ids_of_combos``.
+    ``index`` must be fresh: the minima are checked first, so they come
+    from the per-type array rather than from a cached id list.  The types
+    are ordered by first appearance in tuple-id order.
     """
     masks = _seed_masks(universe)
     groups = _seed_groups(masks)
     absent = universe.full_mask + (1 << universe.size)
-    _assert_ids_match_seed(index, groups, absent)
-    with patch.object(_FactorizedTypes, "_MANY_COMBOS", 0):
-        _assert_ids_match_seed(EqualityTypeIndex(universe), groups, absent)
+    for mask, ids in groups.items():
+        assert index.min_tuple_id(mask) == ids[0]
+        _assert_ints([index.min_tuple_id(mask)])
+    for mask, ids in groups.items():
+        assert index.tuples_with_mask(mask) == ids
+        _assert_ints(index.tuples_with_mask(mask))
+        assert index.min_tuple_id(mask) == ids[0]
+    assert index.tuples_with_mask(absent) == ()
+    assert index.min_tuple_id(absent) is None
     assert tuple(index.masks) == tuple(masks)
     assert [index.mask(tid) for tid in range(len(masks))] == masks
-    assert set(index.distinct_masks) == set(groups)
-    assert dict(index.type_sizes()) == {mask: len(ids) for mask, ids in groups.items()}
+    _assert_ints(index.mask(tid) for tid in range(len(masks)))
+    assert list(index.distinct_masks) == list(groups)
+    assert list(index.type_sizes().items()) == [(mask, len(ids)) for mask, ids in groups.items()]
+    _assert_ints(index.type_sizes().values())
     # selected_by / count_selected_by for the empty query, each atom, and Ω.
     query_masks = [0, universe.full_mask] + [1 << pos for pos in range(universe.size)]
     for query_mask in query_masks:

@@ -14,6 +14,7 @@ import os
 import select
 import signal
 import socket
+import threading
 import time
 
 import pytest
@@ -364,6 +365,25 @@ class TestWorkerTemplate:
             template = parent_pid(workers[0])
         finally:
             cluster.shutdown()
+        assert [pid_exists(pid) for pid in (template, *workers)] == [False, False, False]
+
+    def test_shutdown_is_bounded_when_a_worker_never_answers(self):
+        cluster = ClusterSessionService(num_workers=2, heartbeat_interval=None)
+        workers = [state["pid"] for state in cluster.worker_states()]
+        template = parent_pid(workers[0])
+        os.kill(workers[0], signal.SIGSTOP)
+        try:
+            stopper = threading.Thread(
+                target=cluster.shutdown, kwargs={"timeout": 1.0}, daemon=True
+            )
+            stopper.start()
+            stopper.join(10.0)
+            assert not stopper.is_alive(), "shutdown waits on a worker that never answers"
+        finally:
+            try:
+                os.kill(workers[0], signal.SIGKILL)
+            except ProcessLookupError:
+                pass
         assert [pid_exists(pid) for pid in (template, *workers)] == [False, False, False]
 
 
