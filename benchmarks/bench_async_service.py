@@ -26,7 +26,7 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_async_service.py           # full gates
     PYTHONPATH=src python benchmarks/bench_async_service.py --quick   # CI smoke
 
-Runs append their measurements to
+With ``--record``, runs append their measurements to
 ``benchmarks/results/BENCH_async_service.json`` (keyed by git commit +
 config hash; see :mod:`repro.experiments.trajectory`); ``--compare`` diffs
 the fresh speedup against the latest recorded same-config baseline.  Exit
@@ -237,9 +237,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--sessions", type=int, default=None, help="concurrent session count (default 64, quick 8)"
     )
     parser.add_argument(
-        "--no-record",
+        "--record",
         action="store_true",
-        help="skip writing benchmarks/results/BENCH_async_service.json",
+        help="append this run to benchmarks/results/BENCH_async_service.json",
     )
     parser.add_argument(
         "--compare",
@@ -286,7 +286,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
         else:
             print(f"compare: green vs baseline at commit {baseline.get('commit', '?')[:12]}")
-    if not args.no_record:
+    if args.record:
         path = record_benchmark("async_service", config, stats, RESULTS_DIR)
         print(f"recorded trajectory: {path}")
     return 0

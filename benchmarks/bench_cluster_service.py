@@ -39,7 +39,7 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_cluster_service.py --quick   # CI smoke
     PYTHONPATH=src python benchmarks/bench_cluster_service.py --chaos   # fault gate
 
-Runs append their measurements to
+With ``--record``, runs append their measurements to
 ``benchmarks/results/BENCH_cluster_service.json`` (keyed by git commit +
 config hash; see :mod:`repro.experiments.trajectory`); ``--compare`` diffs
 the fresh speedup against the latest recorded same-config baseline.  Exit
@@ -482,9 +482,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--seed", type=int, default=7, help="chaos schedule seed (kill point + victim)"
     )
     parser.add_argument(
-        "--no-record",
+        "--record",
         action="store_true",
-        help="skip writing benchmarks/results/BENCH_cluster_service.json",
+        help="append this run to benchmarks/results/BENCH_cluster_service.json",
     )
     parser.add_argument(
         "--compare",
@@ -544,7 +544,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return 1
             else:
                 print(f"compare: green vs baseline at commit {baseline.get('commit', '?')[:12]}")
-        if not args.no_record:
+        if args.record:
             path = record_benchmark("cluster_service", config, stats, RESULTS_DIR)
             print(f"recorded trajectory: {path}")
         return 0
@@ -598,7 +598,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
         else:
             print(f"compare: green vs baseline at commit {baseline.get('commit', '?')[:12]}")
-    if not args.no_record:
+    if args.record:
         path = record_benchmark("cluster_service", config, stats, RESULTS_DIR)
         print(f"recorded trajectory: {path}")
     return 0

@@ -9,7 +9,7 @@ measurement:
   and ``prune_counts`` re-derived the informative-type list independently for
   every candidate tuple.
 * ``_DictState`` — the pre-kernel *incremental* engine: delta space updates
-  and a per-type status cache, but with the cache held in Python dicts, the
+  and a per-type table, but with the table held in Python dicts, the
   prune counts computed by a scalar loop per distinct candidate type, and the
   lookahead driver iterating every informative tuple id per step.
 
@@ -26,9 +26,10 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_incremental_engine.py           # full: asserts >=5x and >=10x
     PYTHONPATH=src python benchmarks/bench_incremental_engine.py --quick   # CI smoke
 
-Full runs append their measurements to ``benchmarks/results/BENCH_incremental_engine.json``
-(keyed by git commit + config hash; see :mod:`repro.experiments.trajectory`),
-building the repository's performance trajectory.  Exit status is non-zero
+With ``--record``, runs append their measurements to
+``benchmarks/results/BENCH_incremental_engine.json`` (keyed by git commit +
+config hash; see :mod:`repro.experiments.trajectory`), building the
+repository's performance trajectory.  Exit status is non-zero
 when trace equivalence fails, or (in full mode) when either speedup gate
 falls below its target.
 """
@@ -41,6 +42,8 @@ import sys
 import time
 from collections.abc import Sequence
 from pathlib import Path
+
+import numpy
 
 from repro import GoalQueryOracle, JoinInferenceEngine
 from repro.core.atoms import is_subset, popcount
@@ -305,10 +308,15 @@ def _seed_strategy(name: str, seed: int = 0) -> Strategy:
 
 
 # --------------------------------------------------------------------------- #
-# The pre-kernel incremental engine: dict status cache, scalar prune counts
+# The pre-kernel incremental engine: dict type table, scalar prune counts
 # --------------------------------------------------------------------------- #
-class _DictTypeStatusCache:
-    """The pre-kernel ``TypeStatusCache``: plain dicts, O(#types) copies."""
+class _DictTypeTable:
+    """The pre-kernel type table: plain dicts, O(#types) copies.
+
+    It keeps the interface of :class:`~repro.core.kernels.TypeTable` that
+    :class:`InferenceState` calls, so ``add_label``/``status``/``copy`` run
+    on it unchanged.
+    """
 
     def __init__(self, space, examples):
         type_index = space.type_index
@@ -319,34 +327,49 @@ class _DictTypeStatusCache:
         for tuple_id in examples.labeled_ids:
             self._unlabeled[type_index.mask(tuple_id)] -= 1
 
-    def certain_label_for(self, type_mask):
+    def certain_of(self, type_mask):
         return self._certain[type_mask]
 
-    def unlabeled_count(self, type_mask):
+    def unlabeled_of(self, type_mask):
         return self._unlabeled[type_mask]
 
-    def informative_types(self):
-        for mask, certain in self._certain.items():
-            if certain is None and self._unlabeled[mask]:
-                yield mask, self._unlabeled[mask]
+    def informative_items(self):
+        return [
+            (mask, self._unlabeled[mask])
+            for mask, certain in self._certain.items()
+            if certain is None and self._unlabeled[mask]
+        ]
+
+    def informative_arrays(self):
+        items = self.informative_items()
+        return (
+            numpy.asarray([mask for mask, _ in items], dtype=numpy.int64),
+            numpy.asarray([count for _, count in items], dtype=numpy.int64),
+        )
 
     def informative_count(self):
-        return sum(count for _, count in self.informative_types())
+        return sum(count for _, count in self.informative_items())
 
     def has_informative(self):
-        return any(True for _ in self.informative_types())
+        return bool(self.informative_items())
 
-    def apply_label(self, space, tuple_id, newly_labeled, consistent=True):
-        if newly_labeled:
-            self._unlabeled[space.type_index.mask(tuple_id)] -= 1
+    def decrement_unlabeled(self, type_mask):
+        self._unlabeled[type_mask] -= 1
+
+    def refresh_certain(self, positive_mask, negative_masks, only_unknown=True):
         flipped_positive, flipped_negative = [], []
-        if consistent:
+        if only_unknown:
             stale = [mask for mask, certain in self._certain.items() if certain is None]
         else:
             stale = list(self._certain)
         for mask in stale:
             was = self._certain[mask]
-            now = space.certain_label_for(mask)
+            if is_subset(positive_mask, mask):
+                now = True
+            elif any(is_subset(positive_mask & mask, neg) for neg in negative_masks):
+                now = False
+            else:
+                now = None
             if was is not now:
                 self._certain[mask] = now
                 if was is None and now is True:
@@ -356,7 +379,7 @@ class _DictTypeStatusCache:
         return flipped_positive, flipped_negative
 
     def copy(self):
-        clone = _DictTypeStatusCache.__new__(_DictTypeStatusCache)
+        clone = _DictTypeTable.__new__(_DictTypeTable)
         clone._certain = dict(self._certain)
         clone._unlabeled = dict(self._unlabeled)
         return clone
@@ -365,15 +388,14 @@ class _DictTypeStatusCache:
 class _DictState(InferenceState):
     """The pre-kernel incremental state: delta updates over the dict cache.
 
-    ``add_label``/``status``/``copy`` are inherited — they already ran against
-    the cache interface before the kernels landed, and the dict cache keeps
-    that interface.  Only the construction and the scalar prune-count path
-    are pinned here.
+    ``add_label``/``status``/``copy`` are inherited and run on the dict
+    table, which keeps the type table's interface.  Only the construction
+    and the scalar prune-count path are pinned here.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._cache = _DictTypeStatusCache(self.space, self.examples)
+        self.type_table = _DictTypeTable(self.space, self.examples)
 
     def prune_counts(self, tuple_id):
         snapshot = self.informative_type_snapshot()
@@ -624,9 +646,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("--repeats", type=int, default=3, help="timing repetitions (best-of)")
     parser.add_argument(
-        "--no-record",
+        "--record",
         action="store_true",
-        help="skip writing benchmarks/results/BENCH_incremental_engine.json",
+        help="append this run to benchmarks/results/BENCH_incremental_engine.json",
     )
     parser.add_argument(
         "--compare",
@@ -695,7 +717,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
         else:
             print(f"\ncompare: green vs baseline at commit {baseline.get('commit', '?')[:12]}")
-    if not args.no_record:
+    if args.record:
         path = record_benchmark(
             "incremental_engine",
             config=config,

@@ -20,7 +20,7 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_setup_pipeline.py           # full: asserts >=10x
     PYTHONPATH=src python benchmarks/bench_setup_pipeline.py --quick   # CI smoke
 
-Runs append their measurements to ``benchmarks/results/BENCH_setup_pipeline.json``
+With ``--record``, runs append their measurements to ``benchmarks/results/BENCH_setup_pipeline.json``
 (keyed by git commit + config hash; see :mod:`repro.experiments.trajectory`);
 ``--compare`` diffs the fresh speedup and memory-reduction ratios against the
 latest recorded same-config baseline.  Exit status is non-zero when
@@ -321,9 +321,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("--repeats", type=int, default=3, help="timing repetitions (best-of)")
     parser.add_argument(
-        "--no-record",
+        "--record",
         action="store_true",
-        help="skip writing benchmarks/results/BENCH_setup_pipeline.json",
+        help="append this run to benchmarks/results/BENCH_setup_pipeline.json",
     )
     parser.add_argument(
         "--compare",
@@ -409,7 +409,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
         else:
             print(f"\ncompare: green vs baseline at commit {baseline.get('commit', '?')[:12]}")
-    if not args.no_record:
+    if args.record:
         path = record_benchmark(
             "setup_pipeline",
             config=config,

@@ -20,7 +20,7 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_stepper_overhead.py           # asserts < 5%
     PYTHONPATH=src python benchmarks/bench_stepper_overhead.py --quick   # CI smoke
 
-Runs append their measurements to
+With ``--record``, runs append their measurements to
 ``benchmarks/results/BENCH_stepper_overhead.json`` (keyed by git commit +
 config hash; see :mod:`repro.experiments.trajectory`); ``--compare`` diffs
 the fresh throughput ratio against the latest recorded same-config baseline.
@@ -182,9 +182,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("--repeats", type=int, default=11, help="timing repetitions (median-of)")
     parser.add_argument(
-        "--no-record",
+        "--record",
         action="store_true",
-        help="skip writing benchmarks/results/BENCH_stepper_overhead.json",
+        help="append this run to benchmarks/results/BENCH_stepper_overhead.json",
     )
     parser.add_argument(
         "--compare",
@@ -227,7 +227,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
         else:
             print(f"compare: green vs baseline at commit {baseline.get('commit', '?')[:12]}")
-    if not args.no_record:
+    if args.record:
         path = record_benchmark("stepper_overhead", config, stats, RESULTS_DIR)
         print(f"recorded trajectory: {path}")
     return 0

@@ -7,8 +7,9 @@ interactive inference engine (Figure 2 of the paper), oracles standing in for
 the user, and the strategy families (random / local / lookahead / optimal).
 
 The hot path is *incremental*: a label is applied as a delta to the
-consistent space (:mod:`.space`) and to the per-type status cache
-(:class:`.informativeness.TypeStatusCache`), propagation results are derived
+consistent space (:mod:`.space`) and to the state's per-type table
+(:class:`.kernels.TypeTable`, over the shared arrays of the
+:class:`.equality_types.EqualityTypeIndex`), propagation results are derived
 from the types the delta flipped (:mod:`.propagation`), and lookahead scores
 are computed against one shared informative-type snapshot per step
 (:meth:`.state.InferenceState.prune_counts_all`).  See the individual module
@@ -29,7 +30,6 @@ from .equality_types import EqualityTypeIndex
 from .examples import Example, ExampleSet, Label
 from .informativeness import (
     TupleStatus,
-    TypeStatusCache,
     classify_all,
     classify_tuple,
     has_informative_tuple,
@@ -72,7 +72,6 @@ __all__ = [
     "Oracle",
     "PropagationResult",
     "TupleStatus",
-    "TypeStatusCache",
     "classify_all",
     "classify_tuple",
     "delta_result",

@@ -25,6 +25,9 @@ keeps one small-int type code per cell:
 The type table is one ``np.unique`` over the cell masks, with the types
 numbered by first appearance (so by smallest tuple id), plus per-type arrays
 of mask, size (cell weights summed with ``np.add.at``) and smallest tuple id.
+The mask and size arrays are public and read-only (:attr:`mask_array`,
+:attr:`size_array`, with the mask→code map :attr:`code_of`): every
+session's :class:`~repro.core.kernels.TypeTable` runs on them directly.
 Per-tuple masks and per-type id lists are derived lazily from the cells.
 
 The type-level API (:attr:`distinct_masks`, :meth:`type_sizes`,
@@ -103,9 +106,19 @@ class EqualityTypeIndex:
         # tuple id is the first tuple of its first cell.
         if self._grouping is not None:
             first_cells = self._grouping.first_ids(first_cells)
-        self._type_masks = type_masks
+        type_masks.flags.writeable = False
+        sizes.flags.writeable = False
+        #: The per-type arrays, read-only and indexed by type code: every
+        #: type's mask (int64 up to 62 atoms, ``object`` past) and size
+        #: (int64 below 2⁶² tuples, ``object`` past).  Sessions build their
+        #: type tables over them without a copy.
+        self.mask_array = type_masks
+        self.size_array = sizes
         self._distinct: tuple[int, ...] = tuple(type_masks.tolist())
-        self._code_of = {mask: code for code, mask in enumerate(self._distinct)}
+        #: The type code (row of the per-type arrays) of every distinct mask.
+        self.code_of: Mapping[int, int] = MappingProxyType(
+            {mask: code for code, mask in enumerate(self._distinct)}
+        )
         self._min_ids: tuple[int, ...] = tuple(first_cells.tolist())
         self._sizes_view: Mapping[int, int] = MappingProxyType(
             dict(zip(self._distinct, sizes.tolist(), strict=True))
@@ -158,7 +171,7 @@ class EqualityTypeIndex:
         else:
             blocks = (self._codes[cells] for cells in self._grouping.iter_row_cells())
         return itertools.chain.from_iterable(
-            self._type_masks[codes].tolist() for codes in blocks
+            self.mask_array[codes].tolist() for codes in blocks
         )
 
     def atom_count(self, tuple_id: int) -> int:
@@ -177,7 +190,7 @@ class EqualityTypeIndex:
         """Tuple ids whose equality type is exactly ``mask`` (ascending)."""
         ids = self._ids_by_mask.get(mask)
         if ids is None:
-            code = self._code_of.get(mask)
+            code = self.code_of.get(mask)
             if code is None:
                 return ()
             found = _np.flatnonzero(self._codes == code)
@@ -193,7 +206,7 @@ class EqualityTypeIndex:
         One lookup in the per-type array: no id list is built, which is why
         the strategies' representative-picking tie-break reads this.
         """
-        code = self._code_of.get(mask)
+        code = self.code_of.get(mask)
         return None if code is None else self._min_ids[code]
 
     def type_sizes(self) -> Mapping[int, int]:

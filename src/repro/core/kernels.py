@@ -7,13 +7,13 @@ consistent space ``(M, N)``.  This module keeps that state in flat parallel
 numpy arrays instead of per-type Python objects and exposes each hot-loop
 operation as a kernel over those arrays:
 
-* :class:`TypeTable` (via :func:`make_type_table`) — the aligned vectors
-  ``masks`` / ``certain`` / ``unlabeled``, in the order the distinct types
-  were interned by
-  :class:`~repro.core.equality_types.EqualityTypeIndex` (itself derived from
-  the interned code arrays of :mod:`repro.relational.columnar`).  The table
-  is the storage layer of
-  :class:`~repro.core.informativeness.TypeStatusCache`.
+* :class:`TypeTable` — the aligned vectors ``masks`` / ``certain`` /
+  ``unlabeled`` of one session, built without a copy over the shared
+  per-type arrays of an
+  :class:`~repro.core.equality_types.EqualityTypeIndex` (itself derived
+  from the interned code arrays of :mod:`repro.relational.columnar`), in
+  the index's type order.  :class:`~repro.core.state.InferenceState` holds
+  one.
 * :meth:`TypeTable.refresh_certain` — re-derive every (stale) certain label
   against ``(M, N)`` in one vectorized pass, reporting the informative→certain
   flips propagation needs.
@@ -35,19 +35,24 @@ operation as a kernel over those arrays:
   loop-guard scan).
 
 **Lanes.**  Each computation has one implementation; the input decides the
-dtype it runs on.  A table over at most 62 atoms keeps its masks in int64
-lanes (subset tests ``m & ~t == 0`` are exact in two's complement below bit
-63); a wider universe keeps them in a numpy ``object`` array of Python ints,
-on which the same array expressions run exactly at any width.  Counts are
-int64 while their total stays below 2⁶², ``object`` past it.  On the int64
+dtype it runs on, and this module sets no lane rule of its own for arrays.
+The index's mask array is int64 over at most 62 atoms (subset tests
+``m & ~t == 0`` are exact in two's complement below bit 63) and a numpy
+``object`` array of Python ints past that
+(:func:`~repro.relational.columnar.mask_lane`), on which the same array
+expressions run exactly at any width; its size array is int64 below 2⁶²
+tuples and ``object`` past it.  A list argument takes the int64 lane while
+every value fits below 2⁶², ``object`` otherwise.  On the int64
 lane the lookahead kernel picks its form by size: row-blocked below
 ``_BITSLICE_CELLS`` cells while the counts sum below 2⁵³, bit-sliced
 otherwise.  On the object lane it is always bit-sliced, whose per-atom
 layout does not depend on the mask width.
 
 **Copy-on-write.**  :meth:`TypeTable.copy` is O(1): the clone shares the
-array segments with its parent and both sides mark themselves borrowed; the
-first mutation on either side copies the (small, per-type) arrays.  This is
+arrays with its parent and both sides mark their ``unlabeled`` column
+borrowed; the first decrement on either side copies that (small, per-type)
+column, and a refresh replaces ``certain`` instead of writing into it.  A
+fresh table borrows ``unlabeled`` from the index the same way.  This is
 what makes :meth:`InferenceState.simulate_label
 <repro.core.state.InferenceState.simulate_label>` cheap enough for deep
 lookahead.
@@ -55,7 +60,7 @@ lookahead.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 
 import numpy as _np
 
@@ -66,11 +71,9 @@ CERTAIN_NEGATIVE = 2
 
 _LABEL_OF = {UNKNOWN: None, CERTAIN_POSITIVE: True, CERTAIN_NEGATIVE: False}
 
-#: Universes of at most this many atoms keep their masks in int64 lanes,
-#: and counts summing below ``_INT64_LIMIT`` keep theirs; anything past
-#: either takes the object lane.
-_INT64_ATOMS = 62
-_INT64_LIMIT = 1 << _INT64_ATOMS
+#: Values below this fit the int64 lane of a list argument (see
+#: :func:`_lane`); anything past it takes the object lane.
+_INT64_LIMIT = 1 << 62
 
 #: The row-blocked lookahead kernel takes its weighted sums in float64,
 #: exact only while every partial sum of the (non-negative) counts stays
@@ -177,9 +180,9 @@ def prune_counts_batch(
     if not cells:
         sums = _np.zeros((2, len(candidates)), dtype=counts_lane)
     elif lane is _np.int64 and cells < _BITSLICE_CELLS and total < _EXACT_FLOAT_LIMIT:
-        sums = _np_prune_counts(masks, counts, candidates, positive_mask, negative_masks)
+        sums = _rowblocked_prune_counts(masks, counts, candidates, positive_mask, negative_masks)
     else:
-        sums = _np_bitsliced_prune_counts(masks, counts, candidates, positive_mask, negative_masks)
+        sums = _bitsliced_prune_counts(masks, counts, candidates, positive_mask, negative_masks)
     return (sums[0], sums[1]) if columns else list(zip(*sums.tolist()))
 
 
@@ -242,7 +245,7 @@ def _antichain_complements(positive_mask: int, negative_masks: Sequence[int]) ->
     return complements
 
 
-def _np_prune_counts(
+def _rowblocked_prune_counts(
     info_masks: Sequence[int],
     info_counts: Sequence[int],
     restricted_candidates: Sequence[int],
@@ -373,7 +376,7 @@ def _weighted_sums(hits, planes, shifts, scratch, lane):
     return sums
 
 
-def _np_bitsliced_prune_counts(
+def _bitsliced_prune_counts(
     info_masks,
     info_counts,
     candidates,
@@ -465,52 +468,52 @@ class TypeGroups:
 class TypeTable:
     """The per-type state of one session: masks, certain labels, unlabeled counts.
 
-    Rows are the distinct equality types, in interning order; ``certain``
-    and ``unlabeled`` are the mutable columns.  Mutators go through
-    :meth:`_own` so that :meth:`copy` can lend the arrays out instead of
-    duplicating them, and drop the informative snapshot, which is otherwise
-    taken once between two mutations (:meth:`informative_arrays`).
+    Rows are the distinct equality types, in the order of the ``masks`` and
+    ``sizes`` arrays it is built over (an
+    :class:`~repro.core.equality_types.EqualityTypeIndex`'s
+    :attr:`~repro.core.equality_types.EqualityTypeIndex.mask_array` and
+    :attr:`~repro.core.equality_types.EqualityTypeIndex.size_array`), with
+    ``rows`` mapping each mask to its row.  None of the three is copied, and
+    the arrays' dtypes are the table's lanes.  ``certain`` starts all
+    UNKNOWN and ``unlabeled`` at ``sizes``; both are the mutable columns.
+    ``certain`` is replaced, never written in place, and ``unlabeled`` is
+    borrowed until :meth:`_own` copies it on the first decrement, so
+    :meth:`copy` can lend both out.  Every mutation drops the informative
+    snapshot, which is otherwise taken once between two mutations
+    (:meth:`informative_arrays`).
     """
 
-    __slots__ = ("_masks", "_index", "_masks_arr", "_certain", "_unlabeled", "_owned", "_snapshot")
+    __slots__ = ("_masks", "_rows", "_certain", "_unlabeled", "_owned", "_snapshot")
 
-    def __init__(self, masks: Sequence[int], sizes: Sequence[int], width: int) -> None:
-        self._masks: tuple[int, ...] = tuple(masks)
-        self._index: dict[int, int] = {mask: i for i, mask in enumerate(self._masks)}
-        mask_lane = _np.int64 if width <= _INT64_ATOMS else object
-        self._masks_arr = _np.asarray(self._masks, dtype=mask_lane)
-        self._certain = _np.zeros(len(self._masks), dtype=_np.int8)
-        self._unlabeled = _np.asarray(sizes, dtype=_lane((sum(sizes),)))
-        self._owned = True
+    def __init__(self, masks, sizes, rows: Mapping[int, int]) -> None:
+        self._masks = masks
+        self._rows = rows
+        self._certain = _np.zeros(len(masks), dtype=_np.int8)
+        self._unlabeled = sizes
+        self._owned = False
         self._snapshot = None
 
     def __len__(self) -> int:
         return len(self._masks)
 
-    @property
-    def masks(self) -> tuple[int, ...]:
-        """The distinct type masks, in table order."""
-        return self._masks
-
     def _own(self) -> None:
         self._snapshot = None
         if not self._owned:
-            self._certain = self._certain.copy()
             self._unlabeled = self._unlabeled.copy()
             self._owned = True
 
     def certain_of(self, mask: int) -> bool | None:
         """The memoised certain label of one type (``None`` = informative)."""
-        return _LABEL_OF[int(self._certain[self._index[mask]])]
+        return _LABEL_OF[int(self._certain[self._rows[mask]])]
 
     def unlabeled_of(self, mask: int) -> int:
         """Number of unlabeled tuples of one type."""
-        return int(self._unlabeled[self._index[mask]])
+        return int(self._unlabeled[self._rows[mask]])
 
     def decrement_unlabeled(self, mask: int) -> None:
         """One tuple of the type was labeled."""
         self._own()
-        self._unlabeled[self._index[mask]] -= 1
+        self._unlabeled[self._rows[mask]] -= 1
 
     def refresh_certain(
         self,
@@ -521,27 +524,17 @@ class TypeTable:
         """Re-derive certain labels against ``(M, N)``; report new flips.
 
         With ``only_unknown`` (the consistent-mode invariant) only currently
-        informative rows are re-evaluated; otherwise every row is.  Returns
-        the masks that went informative→certain-positive and
+        informative rows take their new label; otherwise every row does.
+        Returns the masks that went informative→certain-positive and
         informative→certain-negative, in table order.
         """
-        self._own()
-        certain = self._certain
-        new_codes = _certain_codes(self._masks_arr, positive_mask, negative_masks)
-        if only_unknown:
-            stale = certain == UNKNOWN
-            flip_pos = stale & (new_codes == CERTAIN_POSITIVE)
-            flip_neg = stale & (new_codes == CERTAIN_NEGATIVE)
-            certain[stale] = new_codes[stale]
-        else:
-            was_unknown = certain == UNKNOWN
-            flip_pos = was_unknown & (new_codes == CERTAIN_POSITIVE)
-            flip_neg = was_unknown & (new_codes == CERTAIN_NEGATIVE)
-            certain[:] = new_codes
-        masks = self._masks
-        flipped_positive = [masks[i] for i in _np.nonzero(flip_pos)[0].tolist()]
-        flipped_negative = [masks[i] for i in _np.nonzero(flip_neg)[0].tolist()]
-        return flipped_positive, flipped_negative
+        self._snapshot = None
+        new_codes = _certain_codes(self._masks, positive_mask, negative_masks)
+        was_unknown = self._certain == UNKNOWN
+        flip_pos = was_unknown & (new_codes == CERTAIN_POSITIVE)
+        flip_neg = was_unknown & (new_codes == CERTAIN_NEGATIVE)
+        self._certain = _np.where(was_unknown, new_codes, self._certain) if only_unknown else new_codes
+        return self._masks[flip_pos].tolist(), self._masks[flip_neg].tolist()
 
     def informative_arrays(self):
         """The informative snapshot: masks and unlabeled counts, table order.
@@ -555,7 +548,7 @@ class TypeTable:
             # Boolean indexing copies, so later in-place decrements never
             # reach a snapshot a caller still holds.
             selector = (self._certain == UNKNOWN) & (self._unlabeled > 0)
-            self._snapshot = self._masks_arr[selector], self._unlabeled[selector]
+            self._snapshot = self._masks[selector], self._unlabeled[selector]
         return self._snapshot
 
     def informative_items(self) -> list[tuple[int, int]]:
@@ -575,8 +568,7 @@ class TypeTable:
         """An O(1) copy-on-write clone sharing the column arrays."""
         clone = TypeTable.__new__(TypeTable)
         clone._masks = self._masks
-        clone._index = self._index
-        clone._masks_arr = self._masks_arr
+        clone._rows = self._rows
         clone._certain = self._certain
         clone._unlabeled = self._unlabeled
         clone._snapshot = self._snapshot
@@ -584,36 +576,8 @@ class TypeTable:
         self._owned = False
         return clone
 
-    def prune_counts_informative(
-        self,
-        restricted_candidates: Sequence[int],
-        positive_mask: int,
-        negative_masks: Sequence[int],
-        columns: bool = False,
-    ):
-        """Score candidates against this table's own informative snapshot.
-
-        The table-level entry point of the lookahead kernel: the snapshot is
-        taken and consumed in one place.  ``columns`` is passed on to
-        :func:`prune_counts_batch`.
-        """
-        masks, counts = self.informative_arrays()
-        return prune_counts_batch(
-            masks, counts, restricted_candidates, positive_mask, negative_masks, columns=columns
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"TypeTable(types={len(self._masks)}, "
             f"informative={len(self.informative_arrays()[0])}, owned={self._owned})"
         )
-
-
-def make_type_table(masks: Sequence[int], sizes: Sequence[int], width: int) -> TypeTable:
-    """A fresh type table over a ``width``-atom universe (all labels UNKNOWN).
-
-    Up to 62 atoms the masks ride int64 lanes; past that they are Python ints
-    in an ``object`` array.  The counts are int64 while their total stays
-    below 2⁶², ``object`` past it.
-    """
-    return TypeTable(masks, sizes, width)

@@ -10,8 +10,9 @@ to the user and what lookahead strategies simulate to score candidate tuples.
 Two builders produce the result: :func:`diff_statuses` compares two full
 before/after classifications (the from-scratch reference, kept for external
 callers and tests), while :func:`delta_result` assembles the same result
-directly from the equality types the :class:`~repro.core.informativeness.TypeStatusCache`
-reports as flipped by the label, which is what the incremental engine uses.
+directly from the equality types the state's
+:class:`~repro.core.kernels.TypeTable` reports as flipped by the label, which
+is what the incremental engine uses.
 Its id tuples are lazy: the interactive loop only reads ``pruned_count``,
 which comes from the flipped types' sizes, so the ids are listed only when
 a caller first reads them — O(#flipped types + #labels) per label instead
@@ -162,7 +163,7 @@ def delta_result(
 
     ``flipped_*_types`` are the equality types that were informative before
     the label and became certain after it (as reported by
-    :meth:`~repro.core.informativeness.TypeStatusCache.apply_label`); the
+    :meth:`~repro.core.kernels.TypeTable.refresh_certain`); the
     grayed-out tuples are exactly the unlabeled tuples of those types,
     excluding the tuple that was just labeled.  ``labeled_ids`` must be the
     labeled set *after* the new label.

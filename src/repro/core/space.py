@@ -26,7 +26,7 @@ never needs to be rebuilt from the full example set after a label.
 :meth:`ConsistentQuerySpace.with_label` applies exactly that delta in
 O(|N|) instead of re-scanning every example, which is what makes the
 interactive loop's per-step cost independent of the number of labels already
-given (see :mod:`repro.core.state` for the companion status cache).
+given (see :mod:`repro.core.state` for the companion per-type table).
 """
 
 from __future__ import annotations

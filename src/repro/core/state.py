@@ -19,32 +19,36 @@ full example set.  One label is applied as a *delta*:
 
 1. the consistent space folds the new example's equality type into ``(M, N)``
    (:meth:`ConsistentQuerySpace._delta`, O(|N|));
-2. the :class:`~repro.core.informativeness.TypeStatusCache` re-evaluates only
-   the currently informative equality types (certain types can never revert
-   while the examples stay consistent) and reports which types flipped;
+2. the state's :class:`~repro.core.kernels.TypeTable` — its per-type
+   certain labels and unlabeled counts, over the shared index's arrays —
+   re-evaluates only the currently informative equality types (certain
+   types can never revert while the examples stay consistent) and reports
+   which types flipped;
 3. the :class:`~repro.core.propagation.PropagationResult` is assembled from
    the flipped types alone — no before/after full-table classification, and
    its grayed-out ids are only listed when a caller reads them.
 
 ``statuses()``, ``informative_ids()`` and ``has_informative_tuple()`` read the
-cache instead of sweeping the table, ``prune_counts_all`` scores a whole
-candidate set against one shared informative-type snapshot (deduplicated by
-restricted equality type), and :meth:`copy` clones the cache and space in
-O(#types) so lookahead simulation (``simulate_label``) is copy-on-write
-instead of rebuild-from-scratch.
+type table instead of sweeping the candidate table, ``prune_counts_all``
+scores a whole candidate set against one shared informative-type snapshot
+(deduplicated by restricted equality type), and :meth:`copy` clones the type
+table in O(1) and the space in O(|N|), so lookahead simulation
+(``simulate_label``) is copy-on-write instead of rebuild-from-scratch.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from numbers import Integral
 
 from ..exceptions import InconsistentLabelError
 from ..relational.candidate import CandidateTable
+from . import kernels
 from .atoms import AtomScope, AtomUniverse
 from .equality_types import EqualityTypeIndex
 from .examples import ExampleSet, Label
-from .informativeness import TupleStatus, TypeStatusCache, unlabeled_ids_of_types
-from .kernels import TypeGroups
+from .informativeness import TupleStatus, unlabeled_ids_of_types
+from .kernels import TypeGroups, TypeTable
 from .propagation import PropagationResult, delta_result
 from .queries import JoinQuery
 from .space import ConsistentQuerySpace
@@ -61,7 +65,9 @@ class InferenceState:
     the first state over the table and reused by every later one.
     :attr:`universe` is the index's universe, so a state, its space and
     every other state over the same atoms hold one universe object.  Only
-    the examples, the consistent space and the status cache are per state.
+    the examples, the consistent space and the :attr:`type_table` are per
+    state, and the type table runs on the index's per-type arrays, copying
+    its ``unlabeled`` column only on the first label.
     """
 
     def __init__(
@@ -80,7 +86,24 @@ class InferenceState:
         self.examples = examples.copy() if examples is not None else ExampleSet()
         self.strict = strict
         self.space = ConsistentQuerySpace(self.type_index, self.examples)
-        self._cache = TypeStatusCache(self.space, self.examples)
+        type_index = self.type_index
+        self.type_table = TypeTable(type_index.mask_array, type_index.size_array, type_index.code_of)
+        self.type_table.refresh_certain(self.space.positive_mask, self.space.negative_masks)
+        for tuple_id in self.examples.labeled_ids:
+            self.type_table.decrement_unlabeled(type_index.mask(tuple_id))
+
+    def _checked_id(self, tuple_id: int) -> int:
+        """``tuple_id`` as an ``int``, if it names a candidate tuple.
+
+        Python and numpy integers in range pass; a ``bool``, a non-integer
+        or an out-of-range id raises
+        :class:`~repro.exceptions.InconsistentLabelError`.
+        """
+        if isinstance(tuple_id, Integral) and not isinstance(tuple_id, bool):
+            tuple_id = int(tuple_id)
+            if 0 <= tuple_id < len(self.type_index):
+                return tuple_id
+        raise InconsistentLabelError(f"unknown tuple id {tuple_id!r}")
 
     # ------------------------------------------------------------------ #
     # Labeling
@@ -95,20 +118,21 @@ class InferenceState:
         :class:`~repro.exceptions.InconsistentLabelError` and leaves the state
         unchanged.
 
-        The label is applied as a delta to the space and the status cache (see
+        The label is applied as a delta to the space and the type table (see
         the module docstring); the cost is O(#informative types × |N|)
-        instead of a full rebuild plus two table sweeps.
+        instead of a full rebuild plus two table sweeps.  An id that names
+        no candidate tuple raises
+        :class:`~repro.exceptions.InconsistentLabelError` too.
         """
         parsed = Label.from_value(label)
-        if tuple_id not in self.table.tuple_ids:
-            raise InconsistentLabelError(f"unknown tuple id {tuple_id}")
+        tuple_id = self._checked_id(tuple_id)
         status_before = self.status(tuple_id)
         if self.strict and status_before.implied_label not in (None, parsed):
             raise InconsistentLabelError(
                 f"tuple {tuple_id} is {status_before.value}; labeling it {parsed.value!r} "
                 "would contradict the labels given so far"
             )
-        informative_before = self._cache.informative_count()
+        informative_before = self.type_table.informative_count()
         already_labeled = self.examples.label_of(tuple_id) is not None
         self.examples.add(tuple_id, parsed)
         self.space = self.space._delta(self.examples, tuple_id, parsed.is_positive, already_labeled)
@@ -117,8 +141,10 @@ class InferenceState:
             raise InconsistentLabelError(
                 f"labeling tuple {tuple_id} as {parsed.value!r} leaves no consistent join query"
             )
-        flipped_positive, flipped_negative = self._cache.apply_label(
-            self.space, tuple_id, newly_labeled=not already_labeled, consistent=consistent
+        if not already_labeled:
+            self.type_table.decrement_unlabeled(self.type_index.mask(tuple_id))
+        flipped_positive, flipped_negative = self.type_table.refresh_certain(
+            self.space.positive_mask, self.space.negative_masks, only_unknown=consistent
         )
         return delta_result(
             self.type_index,
@@ -128,7 +154,7 @@ class InferenceState:
             flipped_positive,
             flipped_negative,
             informative_before=informative_before,
-            informative_after=self._cache.informative_count(),
+            informative_after=self.type_table.informative_count(),
             consistent=consistent,
         )
 
@@ -136,13 +162,18 @@ class InferenceState:
     # Classification
     # ------------------------------------------------------------------ #
     def status(self, tuple_id: int) -> TupleStatus:
-        """The status of one tuple under the current examples (O(1), cached)."""
+        """The status of one tuple under the current examples (O(1), cached).
+
+        Raises :class:`~repro.exceptions.InconsistentLabelError` for an id
+        that names no candidate tuple.
+        """
+        tuple_id = self._checked_id(tuple_id)
         label = self.examples.label_of(tuple_id)
         if label is Label.POSITIVE:
             return TupleStatus.LABELED_POSITIVE
         if label is Label.NEGATIVE:
             return TupleStatus.LABELED_NEGATIVE
-        certain = self._cache.certain_label_for(self.type_index.mask(tuple_id))
+        certain = self.type_table.certain_of(self.type_index.mask(tuple_id))
         if certain is True:
             return TupleStatus.CERTAIN_POSITIVE
         if certain is False:
@@ -152,7 +183,7 @@ class InferenceState:
     def statuses(self) -> dict[int, TupleStatus]:
         """The status of every tuple under the current examples.
 
-        Reads the per-type cache, so the cost is O(#tuples) with no subset
+        Reads the type table, so the cost is O(#tuples) with no subset
         checks.
         """
         return {tuple_id: self.status(tuple_id) for tuple_id in range(len(self.type_index))}
@@ -161,7 +192,7 @@ class InferenceState:
         """Ids of the tuples still worth asking about, in id order."""
         return unlabeled_ids_of_types(
             self.type_index,
-            (mask for mask, _ in self._cache.informative_types()),
+            self.type_table.informative_arrays()[0].tolist(),
             self.examples.labeled_ids,
         )
 
@@ -172,7 +203,7 @@ class InferenceState:
             (
                 mask
                 for mask in self.type_index.distinct_masks
-                if self._cache.certain_label_for(mask) is not None
+                if self.type_table.certain_of(mask) is not None
             ),
             self.examples.labeled_ids,
         )
@@ -182,16 +213,16 @@ class InferenceState:
         return self.examples.labeled_ids
 
     def informative_count(self) -> int:
-        """Number of informative tuples (one cache read, no table sweep)."""
-        return self._cache.informative_count()
+        """Number of informative tuples (one type-table read, no table sweep)."""
+        return self.type_table.informative_count()
 
     def has_informative_tuple(self) -> bool:
         """Whether the interactive loop should keep asking questions.
 
-        Delegates to the status cache — the same source of truth as
-        :func:`repro.core.informativeness.has_informative_tuple`.
+        Reads the type table; :func:`repro.core.informativeness.has_informative_tuple`
+        answers the same question from scratch.
         """
-        return self._cache.has_informative()
+        return self.type_table.has_informative()
 
     def is_converged(self) -> bool:
         """Whether all consistent queries are instance-equivalent (inference done)."""
@@ -216,9 +247,9 @@ class InferenceState:
         """``(type_mask, unlabeled_count)`` per informative type, this step.
 
         The snapshot every lookahead score is computed against; taking it is
-        O(#informative types) thanks to the status cache.
+        O(#informative types) thanks to the type table.
         """
-        return list(self._cache.informative_types())
+        return self.type_table.informative_items()
 
     def informative_restricted_types(self) -> TypeGroups:
         """Informative types grouped by restricted type ``E(t) ∩ M``.
@@ -227,11 +258,11 @@ class InferenceState:
         type only through the restriction under ``M``, so the groups'
         ``restricted`` types are the candidate set the type-level strategies
         score — typically orders of magnitude smaller than the informative
-        tuple set.  The grouping runs on the cache's array snapshot (one
+        tuple set.  The grouping runs on the type table's snapshot (one
         ``unique`` over ``masks & M``), the same snapshot the lookahead
         kernel of this step scores against.
         """
-        masks, counts = self._cache.informative_arrays()
+        masks, counts = self.type_table.informative_arrays()
         return TypeGroups(masks, counts, self.space.positive_mask)
 
     def prune_counts_for_restricted(
@@ -243,11 +274,12 @@ class InferenceState:
         positive label shrinks ``M`` to ``M ∩ E(t)``, a negative label adds
         ``E(t)`` to the negative types, and every subset test happens under
         ``M``.  All candidates are scored against one shared informative
-        snapshot, held by the status cache's type table.  Returns one
-        ``(a, b)`` pair per candidate, or with ``columns`` the two count
-        columns that :func:`~repro.core.kernels.score_levels` ranks.
+        snapshot, the type table's.  Returns one ``(a, b)`` pair per
+        candidate, or with ``columns`` the two count columns that
+        :func:`~repro.core.kernels.score_levels` ranks.
         """
-        return self._cache.prune_counts_for_restricted(
+        return kernels.prune_counts_batch(
+            *self.type_table.informative_arrays(),
             restricted_masks,
             self.space.positive_mask,
             self.space.negative_masks,
@@ -338,7 +370,7 @@ class InferenceState:
         """A copy of the state with one extra label (the current state is untouched).
 
         Copy-on-write: the clone shares the table/universe/type index and
-        starts from copies of the example set, space masks and status cache,
+        starts from copies of the example set, space masks and type table,
         so the simulation costs one delta update — not a rebuild.
         """
         clone = self.copy()
@@ -352,7 +384,7 @@ class InferenceState:
         """An independent copy sharing the immutable table/universe/type index.
 
         The example set and space masks are copied in O(#labels + |N|) and
-        the status cache copy-on-write in O(1) — no re-derivation from the
+        the type table copy-on-write in O(1) — no re-derivation from the
         example set.
         """
         clone = type(self).__new__(type(self))
@@ -362,7 +394,7 @@ class InferenceState:
         clone.examples = self.examples.copy()
         clone.strict = self.strict
         clone.space = self.space._clone_with_examples(clone.examples)
-        clone._cache = self._cache.copy()
+        clone.type_table = self.type_table.copy()
         return clone
 
     def statistics(self) -> dict[str, float]:
@@ -370,13 +402,13 @@ class InferenceState:
 
         Counts and relative percentages of explicitly labeled tuples, tuples
         deemed uninformative (grayed out), and tuples still informative.
-        Computed type-level (labeled + informative from the cache, certain as
+        Computed type-level (labeled + informative from the type table, certain as
         the remainder) — no per-tuple sweep.
         """
         total_tuples = len(self.table)
         total = total_tuples or 1
         labeled = len(self.examples.labeled_ids)
-        informative = self._cache.informative_count()
+        informative = self.type_table.informative_count()
         certain = total_tuples - labeled - informative
         return {
             "total_tuples": total_tuples,

@@ -177,9 +177,9 @@ class KStepLookaheadStrategy(Strategy):
     def _worst_case_remaining(self, state: InferenceState, tuple_id: int, depth: int) -> int:
         """Worst-case number of informative tuples left after asking about ``tuple_id``.
 
-        The simulated outcome threads the parent's status cache through the
+        The simulated outcome threads the parent's type table through the
         recursion (``simulate_label`` clones it copy-on-write), so the
-        remaining-informative count and the next beam are cache reads — the
+        remaining-informative count and the next beam are table reads — the
         candidate statuses are never re-derived from scratch per depth.
         """
         worst = 0

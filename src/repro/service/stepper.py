@@ -282,6 +282,7 @@ class InferenceSession:
         choose_seconds = self._choose_seconds if answered_pending else 0.0
         started = time.perf_counter()
         propagation = self.state.add_label(tuple_id, parsed)
+        tuple_id = propagation.tuple_id  # a Python int, whatever integer came in
         elapsed = choose_seconds + (time.perf_counter() - started)
         if answered_pending:
             self._pending = None

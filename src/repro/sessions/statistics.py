@@ -60,7 +60,7 @@ class SessionStatistics:
         """Snapshot the statistics of an inference state.
 
         Type-level: the counts come from the example set and the state's
-        per-type status cache, so the snapshot never sweeps the table.
+        per-type table, so the snapshot never sweeps the candidate table.
         """
         total_tuples = len(state.table)
         labeled_positive = len(state.examples.positives)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy
 import pytest
 
 from repro import (
@@ -27,6 +28,20 @@ class TestLabeling:
     def test_unknown_tuple_id_rejected(self, figure1_state):
         with pytest.raises(InconsistentLabelError):
             figure1_state.add_label(99, Label.POSITIVE)
+
+    @pytest.mark.parametrize("tuple_id", [True, 1.0, -1, 12, "3"])
+    def test_non_ids_rejected_by_status_and_add_label(self, figure1_state, tuple_id):
+        with pytest.raises(InconsistentLabelError, match="unknown tuple id"):
+            figure1_state.status(tuple_id)
+        with pytest.raises(InconsistentLabelError, match="unknown tuple id"):
+            figure1_state.add_label(tuple_id, Label.POSITIVE)
+        assert len(figure1_state.examples) == 0
+
+    def test_numpy_integer_ids_are_normalised(self, figure1_state):
+        result = figure1_state.add_label(numpy.int64(tid(3)), Label.POSITIVE)
+        assert type(result.tuple_id) is int
+        assert [type(t) for t in figure1_state.labeled_ids()] == [int]
+        assert figure1_state.status(numpy.int32(tid(3))) is TupleStatus.LABELED_POSITIVE
 
     def test_contradicting_certain_tuple_rejected_in_strict_mode(self, figure1_state):
         figure1_state.add_label(tid(3), Label.POSITIVE)
@@ -214,6 +229,52 @@ class TestSharedTypeIndex:
         assert fresh is not EqualityTypeIndex(shared.universe)
         assert fresh.type_sizes() == shared.type_sizes()
         assert EqualityTypeIndex.shared(shared.universe) is shared
+
+
+class TestSharedTypeArrays:
+    """Sessions run on the index's per-type arrays and never write into them."""
+
+    @pytest.mark.parametrize("factorized", [False, True])
+    def test_index_arrays_are_read_only(self, figure1_table, factorized):
+        table = figure1_table
+        if factorized:
+            table = synthetic.generate_candidate_table(
+                synthetic.SyntheticConfig(tuples_per_relation=6, domain_size=3, seed=2)
+            )
+        index = InferenceState(table).type_index
+        assert list(index.mask_array) == list(index.distinct_masks)
+        assert list(index.size_array) == list(index.type_sizes().values())
+        assert dict(index.code_of) == {mask: row for row, mask in enumerate(index.distinct_masks)}
+        for array in (index.mask_array, index.size_array):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        with pytest.raises(TypeError):
+            index.code_of[0] = 0
+
+    def test_unlabeled_column_is_borrowed_until_the_first_label(self, figure1_table):
+        state = InferenceState(figure1_table)
+        sizes = state.type_index.size_array
+        assert numpy.shares_memory(state.type_table._unlabeled, sizes)
+        clone = state.copy()
+        assert numpy.shares_memory(clone.type_table._unlabeled, sizes)
+        state.add_label(tid(3), Label.POSITIVE)
+        assert not numpy.shares_memory(state.type_table._unlabeled, sizes)
+        assert numpy.shares_memory(clone.type_table._unlabeled, sizes)
+
+    def test_labels_stay_in_their_own_state(self, figure1_table):
+        first = InferenceState(figure1_table)
+        sibling = InferenceState(figure1_table)
+        index = first.type_index
+        sizes_before = dict(index.type_sizes())
+        array_before = index.size_array.tolist()
+        count_before = sibling.informative_count()
+        first.add_label(tid(3), Label.POSITIVE)
+        first.add_label(tid(1), Label.NEGATIVE)
+        assert first.informative_count() < count_before
+        assert dict(index.type_sizes()) == sizes_before
+        assert index.size_array.tolist() == array_before
+        assert sibling.informative_count() == count_before
+        assert InferenceState(figure1_table).informative_count() == count_before
 
 
 def _count_index_builds(monkeypatch) -> list:

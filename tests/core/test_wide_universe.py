@@ -61,7 +61,7 @@ def test_64_atom_guided_lookahead_session_converges():
     goal = random_goal_query(table, num_atoms=2, seed=1)
     state = InferenceState(table)
     assert len(state.universe.atoms) == 64
-    assert state._cache.kernel_table.informative_arrays()[0].dtype == object
+    assert state.type_table.informative_arrays()[0].dtype == object
     result = infer_join(table, GoalQueryOracle(goal), strategy="lookahead-entropy")
     assert result.converged
     assert result.matches_goal(goal)

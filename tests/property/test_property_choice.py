@@ -17,8 +17,10 @@ definitions give directly:
 
 Each property runs over flat and factorized (cross-product) tables, on both
 kernel paths of the int64 lane (row-blocked, and bit-sliced with
-``_BITSLICE_CELLS`` forced to 0) and on the object lane (every type table
-built as if the universe were 70 atoms wide).  The brute-force counts come
+``_BITSLICE_CELLS`` forced to 0) and on the object lane (the one mask-lane
+rule, :func:`repro.relational.columnar.mask_lane`, patched to ``object``, so
+the index and every type table over it hold Python ints).  Every example
+draws a new table, so its index is built under the path's patch.  The brute-force counts come
 straight from the certain-label definitions, tuple by tuple, with no kernel.
 """
 
@@ -29,7 +31,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import CandidateTable, InferenceState, Label
-from repro.core import informativeness, kernels
+from repro.core import kernels
 from repro.core.atoms import is_subset
 from repro.core.informativeness import TupleStatus, classify_all
 from repro.core.strategies.lookahead import (
@@ -39,6 +41,7 @@ from repro.core.strategies.lookahead import (
     MinMaxPruneStrategy,
 )
 from repro.exceptions import InconsistentLabelError
+from repro.relational import columnar
 from repro.relational.instance import DatabaseInstance
 from repro.relational.relation import Relation
 from repro.service.protocol import InteractionMode
@@ -52,27 +55,22 @@ SETTINGS = settings(
 
 SCORED = (ExpectedPruneStrategy(), MinMaxPruneStrategy(), EntropyStrategy())
 
-#: (_BITSLICE_CELLS, universe width the type tables are built for) per
-#: kernel path; the row-blocked path keeps every call below the cutoff, and
-#: a 70-atom width puts every table on the object lane.
+#: (_BITSLICE_CELLS, whether masks take the object lane) per kernel path; the
+#: row-blocked path keeps every call below the cutoff.
 PATHS = {
-    "row-blocked": (1 << 62, None),
-    "bit-sliced": (0, None),
-    "object lane": (kernels._BITSLICE_CELLS, 70),
+    "row-blocked": (1 << 62, False),
+    "bit-sliced": (0, False),
+    "object lane": (kernels._BITSLICE_CELLS, True),
 }
 
 
 @pytest.fixture(params=sorted(PATHS))
 def kernel_path(request):
-    cutoff, width = PATHS[request.param]
+    cutoff, object_lane = PATHS[request.param]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "_BITSLICE_CELLS", cutoff)
-        if width is not None:
-            patch.setattr(
-                informativeness,
-                "make_type_table",
-                lambda masks, sizes, _width: kernels.make_type_table(masks, sizes, width),
-            )
+        if object_lane:
+            patch.setattr(columnar, "mask_lane", lambda _num_pairs: object)
         yield request.param
 
 
@@ -156,6 +154,8 @@ def _ranked(counts: dict[int, tuple[int, int]], value, limit: int) -> list[int]:
 def _label_steps(table: CandidateTable, data: st.DataObject):
     """A state driven through random labels, yielded before each label."""
     state = InferenceState(table)
+    # The table is new, so its index was built under the current lane rule.
+    assert state.type_index.mask_array.dtype == columnar.mask_lane(state.universe.size)
     for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
         if not state.has_informative_tuple():
             return

@@ -1,7 +1,7 @@
 """Property-based tests: the incremental engine ≡ rebuild-from-scratch.
 
 The incremental machinery (delta updates of the consistent space, the
-per-type status cache, the batched prune counts) must be *observationally
+per-type table, the batched prune counts) must be *observationally
 equivalent* to the seed's from-scratch path: after any randomised sequence of
 labels, an :class:`InferenceState` that applied them one delta at a time must
 agree with a :class:`ConsistentQuerySpace` rebuilt from the full example set
@@ -196,7 +196,7 @@ class TestIncrementalEquivalence:
     @given(table=candidate_tables(), labels=st.data())
     def test_non_strict_propagation_results_match_diff_of_rebuilt_statuses(self, table, labels):
         # Non-strict labels may leave the example set inconsistent, where
-        # the status cache re-evaluates every type instead of a delta.
+        # the type table re-evaluates every type instead of a delta.
         _check_propagations_against_rebuild(InferenceState(table, strict=False), labels)
 
     @SETTINGS

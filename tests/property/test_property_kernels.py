@@ -14,14 +14,15 @@ the whole hot loop, so they get their own equivalence suite:
   in a few MB;
 * candidates carrying bits outside ``M`` must score as their restriction to
   ``M`` on every path;
-* a :class:`TypeTable` must behave the same on both lanes through arbitrary
-  refresh/decrement/copy sequences, its copy-on-write clones must be
-  isolated from their parents, and its flips, informative snapshot and
-  lookahead scores must match the scalar reference;
+* a :class:`TypeTable` must behave the same on both lanes (int64 and
+  ``object`` arrays) through arbitrary refresh/decrement/copy sequences, its
+  copy-on-write clones must be isolated from their parents, and its flips,
+  informative snapshot and lookahead scores must match the scalar reference;
 * a full :class:`InferenceState` driven through randomised label sequences —
   over tables with ``None``/NaN cells and over sampled cross products — must
   produce identical statuses, prune counts and propagation results on the
-  int64 lane and on the object lane.
+  int64 lane and on the object lane (the one mask-lane rule,
+  :func:`repro.relational.columnar.mask_lane`, patched to ``object``).
 """
 
 from __future__ import annotations
@@ -35,19 +36,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import CandidateTable, InferenceState, Label
-from repro.core import informativeness, kernels
+from repro.core import kernels
 from repro.core.atoms import is_subset
 from repro.core.informativeness import classify_all
 from repro.core.kernels import (
     CERTAIN_NEGATIVE,
     CERTAIN_POSITIVE,
     UNKNOWN,
+    TypeTable,
     certain_codes,
-    make_type_table,
     prune_counts_batch,
 )
 from repro.datasets.synthetic import SyntheticConfig, generate_instance
 from repro.exceptions import InconsistentLabelError
+from repro.relational import columnar
 
 SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -57,8 +59,8 @@ SETTINGS = settings(
 NARROW_MASKS = st.integers(min_value=0, max_value=(1 << 12) - 1)
 WIDE_MASKS = st.integers(min_value=0, max_value=(1 << 70) - 1)
 
-#: Universe widths on either side of the int64 lane's last atom (62).
-LANE_WIDTHS = (62, 70)
+#: The two lanes of a type table's arrays.
+LANES = (numpy.int64, object)
 
 
 # --------------------------------------------------------------------------- #
@@ -298,13 +300,13 @@ class TestPruneCountsLimits:
         )
         taken = []
         with pytest.MonkeyPatch.context() as patch:
-            kernel = kernels._np_bitsliced_prune_counts
+            kernel = kernels._bitsliced_prune_counts
             patch.setattr(
                 kernels,
-                "_np_bitsliced_prune_counts",
+                "_bitsliced_prune_counts",
                 lambda *args: taken.append("bit-sliced") or kernel(*args),
             )
-            patch.setattr(kernels, "_np_prune_counts", _never_called)
+            patch.setattr(kernels, "_rowblocked_prune_counts", _never_called)
             got = prune_counts_batch(
                 masks, counts, candidate_types, positive_mask, negative_masks
             )
@@ -437,7 +439,7 @@ class TestBitSlicedKernel:
         with pytest.MonkeyPatch.context() as patch:
             if lane == "int64":
                 patch.setattr(kernels, "_BITSLICE_CELLS", 0)
-            patch.setattr(kernels, "_np_prune_counts", _never_called)
+            patch.setattr(kernels, "_rowblocked_prune_counts", _never_called)
             if block_words is not None:
                 # Row blocks of one and three words: several blocks per call,
                 # the last one short.
@@ -447,7 +449,7 @@ class TestBitSlicedKernel:
 
     @pytest.mark.parametrize(
         ("num_candidates", "num_types", "path"),
-        [(129, 127, "_np_prune_counts"), (128, 128, "_np_bitsliced_prune_counts")],
+        [(129, 127, "_rowblocked_prune_counts"), (128, 128, "_bitsliced_prune_counts")],
     )
     def test_cutoff_boundary(self, num_candidates, num_types, path):
         # 129 × 127 = 2¹⁴ − 1 cells stay row-blocked; 128 × 128 = 2¹⁴ cells
@@ -473,6 +475,15 @@ class TestBitSlicedKernel:
 # --------------------------------------------------------------------------- #
 # The type table on both lanes
 # --------------------------------------------------------------------------- #
+def _type_table(masks, sizes, lane):
+    """A fresh table over ``masks`` and ``sizes``, both arrays in ``lane``."""
+    return TypeTable(
+        numpy.asarray(masks, dtype=lane),
+        numpy.asarray(sizes, dtype=lane),
+        {mask: row for row, mask in enumerate(masks)},
+    )
+
+
 def _table_observables(table, masks):
     return (
         [table.certain_of(mask) for mask in masks],
@@ -518,8 +529,8 @@ class TestTypeTableEquivalence:
         sizes_seed=st.data(),
     )
     def test_int64_and_object_lane_tables_agree(self, masks, sizes_seed):
-        # The same masks in a 62-atom universe (int64 lane) and a 70-atom
-        # one (object lane) must stay observationally identical.
+        # The same masks and sizes in int64 arrays and in object arrays must
+        # stay observationally identical.
         sizes = sizes_seed.draw(
             st.lists(
                 st.integers(min_value=0, max_value=20),
@@ -527,7 +538,7 @@ class TestTypeTableEquivalence:
                 max_size=len(masks),
             )
         )
-        tables = [make_type_table(masks, sizes, width) for width in LANE_WIDTHS]
+        tables = [_type_table(masks, sizes, lane) for lane in LANES]
         assert [table.informative_arrays()[0].dtype for table in tables] == [
             numpy.int64,
             object,
@@ -545,9 +556,9 @@ class TestTypeTableEquivalence:
     @given(
         masks=st.lists(NARROW_MASKS, min_size=1, max_size=8, unique=True),
         data=st.data(),
-        width=st.sampled_from(LANE_WIDTHS),
+        lane=st.sampled_from(LANES),
     )
-    def test_copy_on_write_isolation(self, masks, data, width):
+    def test_copy_on_write_isolation(self, masks, data, lane):
         sizes = data.draw(
             st.lists(
                 st.integers(min_value=1, max_value=10),
@@ -555,7 +566,7 @@ class TestTypeTableEquivalence:
                 max_size=len(masks),
             )
         )
-        table = make_type_table(masks, sizes, width)
+        table = _type_table(masks, sizes, lane)
         positive_mask = data.draw(NARROW_MASKS)
         negative_masks = data.draw(st.lists(NARROW_MASKS, min_size=0, max_size=3))
         table.refresh_certain(positive_mask, negative_masks)
@@ -576,14 +587,12 @@ class TestTypeTableEquivalence:
     @given(
         inputs=kernel_inputs(),
         candidate_types=st.lists(NARROW_MASKS, min_size=0, max_size=8),
-        width=st.sampled_from(LANE_WIDTHS),
+        lane=st.sampled_from(LANES),
     )
-    def test_prune_counts_informative_matches_reference(
-        self, inputs, candidate_types, width
-    ):
+    def test_table_snapshot_scores_match_reference(self, inputs, candidate_types, lane):
         masks, sizes, positive_mask, negative_masks = inputs
         _assert_table_scores_like_reference(
-            make_type_table(masks, sizes, width),
+            _type_table(masks, sizes, lane),
             masks, sizes, positive_mask, negative_masks, candidate_types,
         )
 
@@ -595,21 +604,21 @@ class TestTypeTableEquivalence:
         candidate_types=st.lists(WIDE_MASKS, min_size=0, max_size=6),
     )
     def test_wide_masks_take_the_object_lane(self, inputs, candidate_types):
-        # Masks past bit 62 cannot ride the int64 lane: a 70-atom table
-        # keeps them as Python ints, with the same answers.
+        # Masks past bit 62 cannot ride the int64 lane: an object-array
+        # table keeps them as Python ints, with the same answers.
         masks, sizes, positive_mask, negative_masks = inputs
-        table = make_type_table(masks, sizes, 70)
+        table = _type_table(masks, sizes, object)
         assert table.informative_arrays()[0].dtype == object
         _assert_table_scores_like_reference(
             table, masks, sizes, positive_mask, negative_masks, candidate_types
         )
 
-    def test_lane_follows_the_universe_not_the_masks(self):
+    def test_lane_follows_the_arrays_not_the_masks(self):
         # Every type of a 64-atom universe may hold only atoms below bit 62
-        # while M = Ω holds bit 63: the lane comes from the width, so the
-        # refresh against M stays exact.
+        # while M = Ω holds bit 63: the lane comes from the index's object
+        # array, so the refresh against M stays exact.
         masks, sizes = [0b0110, 0b0011, 0b1001], [2, 3, 4]
-        table = make_type_table(masks, sizes, 64)
+        table = _type_table(masks, sizes, object)
         assert table.informative_arrays()[0].dtype == object
         full = (1 << 64) - 1
         assert table.refresh_certain(full, []) == ([], [])
@@ -635,7 +644,10 @@ def _assert_table_scores_like_reference(
     ]
     assert table.informative_items() == snapshot
     restricted = [candidate & positive_mask for candidate in candidate_types]
-    assert table.prune_counts_informative(restricted, positive_mask, negative_masks) == [
+    got = prune_counts_batch(
+        *table.informative_arrays(), restricted, positive_mask, negative_masks
+    )
+    assert got == [
         _reference_prune_counts(snapshot, candidate, positive_mask, negative_masks)
         for candidate in candidate_types
     ]
@@ -709,19 +721,18 @@ def _propagation_signature(result):
 def _run_label_sequence(table: CandidateTable, script: list[tuple[int, bool]]):
     """Replay one label script per lane; return the per-step observables.
 
-    The object-lane run builds every type table as if the universe were 70
-    atoms wide, over the same masks.
+    The object-lane run patches the one mask-lane rule to ``object`` and
+    replays over a fresh copy of the table, whose index (memoised per table)
+    is then built on that lane too.
     """
     per_lane = []
-    for width in (None, 70):
+    for object_lane in (False, True):
         with pytest.MonkeyPatch.context() as patch:
-            if width is not None:
-                patch.setattr(
-                    informativeness,
-                    "make_type_table",
-                    lambda masks, sizes, _width, width=width: make_type_table(masks, sizes, width),
-                )
-            state = InferenceState(table)
+            run_table = table
+            if object_lane:
+                patch.setattr(columnar, "mask_lane", lambda _num_pairs: object)
+                run_table = CandidateTable(table.attributes, list(table), name=table.name)
+            state = InferenceState(run_table)
             steps = [_state_observables(state)]
             for index, positive in script:
                 unlabeled = [
@@ -738,7 +749,7 @@ def _run_label_sequence(table: CandidateTable, script: list[tuple[int, bool]]):
                 except InconsistentLabelError:
                     steps.append("rejected")
                 steps.append(_state_observables(state))
-            lane = state._cache.kernel_table.informative_arrays()[0].dtype
+            lane = state.type_table.informative_arrays()[0].dtype
             # The scalar classification reference must agree with the final state.
             assert state.statuses() == classify_all(state.space, state.examples)
         per_lane.append((str(lane), steps))

@@ -21,7 +21,7 @@ import pytest
 
 from repro import CandidateTable, GoalQueryOracle, SessionService
 from repro.datasets import flights_hotels
-from repro.exceptions import InconsistentLabelError, StrategyError
+from repro.exceptions import InconsistentLabelError, ReproError, StrategyError
 from repro.service import AsyncSessionService, Converged, QuestionAsked, event_to_wire
 from repro.service.cluster import (
     ClusterServiceError,
@@ -387,6 +387,29 @@ class TestWorkerTemplate:
         assert [pid_exists(pid) for pid in (template, *workers)] == [False, False, False]
 
 
+def _service(request, backend: str):
+    """A sync service, or the module's thread or process cluster."""
+    if backend == "sync":
+        return SessionService()
+    return request.getfixturevalue("thread_cluster" if backend == "thread" else "cluster")
+
+
+def _assert_rejected_without_change(service, call) -> None:
+    """``call(sid)`` on a fresh manual session raises a typed unknown-id error,
+    and the session still saves the same document, which still resumes."""
+    table = tiny_table()
+    session_id = service.create(table, mode="manual").session_id
+    service.answer(session_id, "-", tuple_id=3)
+    document = service.save(session_id)
+    with pytest.raises(ReproError, match="unknown tuple id"):
+        call(session_id)
+    assert service.save(session_id) == document
+    resumed = service.resume(document, table=table).session_id
+    assert service.save(resumed) == document
+    for sid in (session_id, resumed):
+        service.close(sid)
+
+
 class TestErrorParity:
     def test_unknown_session_and_table(self, cluster):
         with pytest.raises(SessionServiceError, match="unknown session id"):
@@ -479,6 +502,23 @@ class TestErrorParity:
             with pytest.raises(sync_raised):
                 cluster.answer(descriptor.session_id, "+", tuple_id=9999)
         cluster.close(descriptor.session_id)
+
+    @pytest.mark.parametrize("tuple_id", [1.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("backend", ["sync", "thread", "process"])
+    def test_non_integer_tuple_id_is_a_typed_error(self, request, backend, tuple_id):
+        # A JSON body or worker frame may carry 1.0 or true where an id
+        # belongs: either is an unknown tuple id, never tuple 1.
+        service = _service(request, backend)
+        _assert_rejected_without_change(
+            service, lambda sid: service.answer(sid, "yes", tuple_id=tuple_id)
+        )
+
+    @pytest.mark.parametrize("tuple_id", [1.0, True], ids=["float", "bool"])
+    def test_non_integer_tuple_id_in_a_batch_is_a_typed_error(self, tuple_id):
+        service = SessionService()
+        _assert_rejected_without_change(
+            service, lambda sid: service.answer_many(sid, {tuple_id: "yes"})
+        )
 
     def test_strategy_instances_cannot_cross_the_boundary(
         self, cluster, flights_fingerprint
